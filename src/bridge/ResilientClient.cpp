@@ -354,8 +354,8 @@ std::vector<std::optional<uint64_t>> ResilientModelClient::requestModifierBatch(
   // Forced fallback: skip the wire entirely so every miss degrades to the
   // default plan, as if the model service were unreachable.
   if (!Misses.empty() && JITML_FAULT_POINT("client.request.fallback")) {
-    for (size_t I : Misses)
-      ++Count.Fallbacks, Tel.Fallbacks->add();
+    Count.Fallbacks += Misses.size();
+    Tel.Fallbacks->add(Misses.size());
     Misses.clear();
   }
 

@@ -71,7 +71,9 @@ struct MethodInfo {
   std::vector<DataType> LocalTypes; ///< type of every local slot
   std::vector<BcInst> Code;
   std::vector<ExceptionEntry> ExceptionTable;
-  uint32_t MaxStack = 0;       ///< filled in by the verifier
+  /// Filled in by the verifier; the VM verifies a method it finds at 0
+  /// before interpreting it (a program may skip the verifier).
+  uint32_t MaxStack = 0;
 
   bool hasFlag(MethodFlag F) const { return (Flags & F) != 0; }
   bool isStatic() const { return hasFlag(MF_Static); }

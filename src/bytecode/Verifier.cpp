@@ -112,10 +112,12 @@ namespace {
 
 class MethodVerifier {
 public:
-  MethodVerifier(Program &P, uint32_t MethodIndex)
+  MethodVerifier(const Program &P, uint32_t MethodIndex)
       : Prog(P), M(P.methodAt(MethodIndex)), MethodIndex(MethodIndex) {}
 
   VerifyResult run();
+  /// The deepest stack any path reaches (valid after a clean run()).
+  unsigned maxDepth() const { return MaxDepth; }
 
 private:
   void error(uint32_t Pc, const char *Fmt, ...)
@@ -123,8 +125,8 @@ private:
   void visit(uint32_t Pc, int Depth);
   void flow(uint32_t Pc, int DepthAfter);
 
-  Program &Prog;
-  MethodInfo &M;
+  const Program &Prog;
+  const MethodInfo &M;
   uint32_t MethodIndex;
   VerifyResult Result;
   std::vector<int> DepthAt;     ///< -1 = unvisited
@@ -272,15 +274,26 @@ VerifyResult MethodVerifier::run() {
     Worklist.pop_front();
     visit(Pc, DepthAt[Pc]);
   }
-  if (Result.ok())
-    M.MaxStack = MaxDepth;
   return std::move(Result);
 }
 
 } // namespace
 
 VerifyResult jitml::verifyMethod(Program &P, uint32_t MethodIndex) {
-  return MethodVerifier(P, MethodIndex).run();
+  uint32_t MaxStack = 0;
+  VerifyResult R = checkMethod(P, MethodIndex, MaxStack);
+  if (R.ok())
+    P.methodAt(MethodIndex).MaxStack = MaxStack;
+  return R;
+}
+
+VerifyResult jitml::checkMethod(const Program &P, uint32_t MethodIndex,
+                                uint32_t &MaxStack) {
+  MethodVerifier V(P, MethodIndex);
+  VerifyResult R = V.run();
+  if (R.ok())
+    MaxStack = V.maxDepth();
+  return R;
 }
 
 VerifyResult jitml::verifyProgram(Program &P) {

@@ -34,6 +34,11 @@ bool stackEffect(const Program &P, const MethodInfo &M, const BcInst &I,
 /// Verifies method \p MethodIndex of \p P and fills in its MaxStack.
 VerifyResult verifyMethod(Program &P, uint32_t MethodIndex);
 
+/// Verifies without modifying \p P; on success stores the method's
+/// maximum operand-stack depth in \p MaxStack.
+VerifyResult checkMethod(const Program &P, uint32_t MethodIndex,
+                         uint32_t &MaxStack);
+
 /// Verifies every method; stops collecting after the first broken method
 /// but always reports which one failed.
 VerifyResult verifyProgram(Program &P);

@@ -85,7 +85,8 @@ double CostModel::instCost(const NativeInst &I) const {
   case NOp::DivChk:
     return I.hasFlag(NF_ImplicitCheck) ? 0.0 : CheckCost;
   case NOp::BndChk:
-    return BoundsCost + (I.hasFlag(NF_FusedNull) ? 0.0 : 0.0);
+    // A fused check (NF_FusedNull) covers the null test for free.
+    return BoundsCost;
   case NOp::ArrCopy:
     return ArrayCopyBase; // per-element part charged by the executor
   case NOp::ArrCmp:

@@ -109,6 +109,16 @@ struct NativeBlock {
   /// spills when the block needs more virtual registers than the machine
   /// has physical ones.
   double SpillPenalty = 0.0;
+
+  // Executor charges, decoded from the VM's cost model when the runtime
+  // prepares the body for installation (empty straight out of codegen).
+  /// Per instruction: (issue cost + dependency stall) * ICacheFactor.
+  std::vector<double> Charges;
+  /// SpillPenalty * ICacheFactor, charged on each entry.
+  double EntryCharge = 0.0;
+  /// Whether a transfer to SuccTaken / SuccFall leaves layout order.
+  bool TakenLeavesLayout = false;
+  bool FallLeavesLayout = false;
 };
 
 /// A fully compiled method body.
@@ -129,6 +139,9 @@ struct NativeMethod {
   /// Simulated compile cycles spent by code generation (added to the
   /// optimizer's effort to form the method's total compile time).
   double CompileCycles = 0.0;
+  /// Most arguments any call in the body passes (decoded with the
+  /// charges; sizes the executor's frame).
+  uint32_t MaxCallArgs = 0;
 
   uint32_t totalInsts() const {
     uint32_t N = 0;

@@ -37,6 +37,8 @@ void forEachNodeInTree(const MethodIL &IL, NodeId Root, Fn Visit) {
 /// 64-bit word rows (one row of W words per block): the backward fixpoint
 /// runs on every GDSE invocation in the compile hot loop, and word-wise
 /// or/and-not beats the old vector<vector<bool>> by an order of magnitude.
+/// Rows are data() + offset: a method without locals has W == 0 and empty
+/// vectors, which must not be indexed.
 class Liveness {
 public:
   explicit Liveness(const MethodIL &IL) : IL(IL) {
@@ -52,7 +54,8 @@ public:
       const Block &Blk = IL.block(B);
       if (!Blk.Reachable)
         continue;
-      uint64_t *UseB = &Use[(size_t)B * W], *DefB = &Def[(size_t)B * W];
+      uint64_t *UseB = Use.data() + (size_t)B * W;
+      uint64_t *DefB = Def.data() + (size_t)B * W;
       for (NodeId Root : Blk.Trees) {
         // Loads anywhere in the tree happen before the root store.
         forEachNodeInTree(IL, Root, [&](NodeId Id) {
@@ -76,7 +79,7 @@ public:
           continue;
         std::fill(Out.begin(), Out.end(), 0);
         auto Merge = [&](BlockId S) {
-          const uint64_t *InS = &LiveIn[(size_t)S * W];
+          const uint64_t *InS = LiveIn.data() + (size_t)S * W;
           for (uint32_t I = 0; I < W; ++I)
             Out[I] |= InS[I];
         };
@@ -84,10 +87,10 @@ public:
           Merge(S);
         for (const HandlerRef &H : Blk.Handlers)
           Merge(H.Handler);
-        const uint64_t *UseB = &Use[(size_t)B * W];
-        const uint64_t *DefB = &Def[(size_t)B * W];
-        uint64_t *OutB = &LiveOut[(size_t)B * W];
-        uint64_t *InB = &LiveIn[(size_t)B * W];
+        const uint64_t *UseB = Use.data() + (size_t)B * W;
+        const uint64_t *DefB = Def.data() + (size_t)B * W;
+        uint64_t *OutB = LiveOut.data() + (size_t)B * W;
+        uint64_t *InB = LiveIn.data() + (size_t)B * W;
         for (uint32_t I = 0; I < W; ++I) {
           uint64_t In = (Out[I] & ~(DefB[I] & ~UseB[I])) | UseB[I];
           if (Out[I] != OutB[I] || In != InB[I]) {
@@ -101,10 +104,10 @@ public:
   }
 
   bool liveOut(BlockId B, uint32_t Slot) const {
-    return bit(&LiveOut[(size_t)B * W], Slot);
+    return bit(LiveOut.data() + (size_t)B * W, Slot);
   }
   bool liveIn(BlockId B, uint32_t Slot) const {
-    return bit(&LiveIn[(size_t)B * W], Slot);
+    return bit(LiveIn.data() + (size_t)B * W, Slot);
   }
 
 private:
@@ -151,7 +154,11 @@ bool jitml::runGlobalCopyPropagation(PassContext &Ctx) {
   // One flat row of NL lattice cells per block (a vector-of-vectors here
   // meant one allocation per block on every invocation of this pass).
   std::vector<Lattice> EntryState((size_t)NB * NL);
-  auto stateRow = [&](BlockId B) { return &EntryState[(size_t)B * NL]; };
+  // data() + offset, not &EntryState[...]: a method without locals has an
+  // empty lattice, and indexing an empty vector is undefined.
+  auto stateRow = [&](BlockId B) {
+    return EntryState.data() + (size_t)B * NL;
+  };
   // Parameters have unknown values.
   for (uint32_t L = 0; L < IL.methodInfo().numArgs(); ++L)
     stateRow(IL.entryBlock())[L] = {Lattice::Bottom, 0, 0};

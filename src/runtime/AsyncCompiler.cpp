@@ -7,6 +7,7 @@
 #include "il/ILGenerator.h"
 #include "il/LoopInfo.h"
 #include "opt/Optimizer.h"
+#include "runtime/ExecInternal.h"
 #include "support/FaultInjection.h"
 #include "verify/PassVerifier.h"
 
@@ -31,6 +32,9 @@ CompiledBody jitml::compileMethodBody(const Program &P, uint32_t MethodIndex,
       IlTrusted ? optimize(*IL, Plan, Modifier.enabledMask())
                 : OptimizeResult();
   NativeMethod Native = generateCode(*IL, Opt.CodegenOptions, Plan.Level, Cost);
+
+  // Ready the body for the executor: its charges under this VM's costs.
+  decodeCharges(Native, Cost);
 
   CompiledBody Out;
   Out.CompileCycles = Opt.CompileCycles + Native.CompileCycles;

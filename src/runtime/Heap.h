@@ -3,10 +3,13 @@
 /// \file
 /// The VM's heap: objects (field slots + class id) and arrays (element
 /// slots + element type). References are indices into the heap table;
-/// index 0 is the null reference. There is no collector — the heap lives
-/// for one VM invocation and is dropped wholesale, which is sufficient for
-/// the paper's experiments (allocation cost is modeled by the executor's
-/// cost model, reclamation is not measured).
+/// index 0 is the null reference. Every cell's slots live in one flat
+/// vector (the cell records an offset and a length), so an allocation is
+/// an append rather than a heap allocation of its own. There is no
+/// collector — the heap lives for one VM invocation and is dropped
+/// wholesale, which is sufficient for the paper's experiments (allocation
+/// cost is modeled by the executor's cost model, reclamation is not
+/// measured).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,6 +59,9 @@ enum class RtExceptionKind : int32_t {
   ClassCast = -5,
   NegativeArraySize = -6,
   StackOverflow = -7,
+  /// The interpreter was asked to run a method the bytecode verifier
+  /// rejects (only possible for a program that skipped the verifier).
+  VerifyError = -8,
 };
 
 class Heap {
@@ -79,22 +85,18 @@ public:
   bool isArray(uint32_t Ref) const { return cell(Ref).IsArray; }
   DataType elemType(uint32_t Ref) const { return cell(Ref).ElemType; }
 
-  uint32_t arrayLength(uint32_t Ref) const {
-    return (uint32_t)cell(Ref).Slots.size();
-  }
-  uint32_t numFields(uint32_t Ref) const {
-    return (uint32_t)cell(Ref).Slots.size();
-  }
+  uint32_t arrayLength(uint32_t Ref) const { return cell(Ref).Length; }
+  uint32_t numFields(uint32_t Ref) const { return cell(Ref).Length; }
 
   Value getSlot(uint32_t Ref, uint32_t Index) const {
     const Cell &C = cell(Ref);
-    assert(Index < C.Slots.size() && "heap slot out of range");
-    return C.Slots[Index];
+    assert(Index < C.Length && "heap slot out of range");
+    return Slots[C.Offset + Index];
   }
   void setSlot(uint32_t Ref, uint32_t Index, Value V) {
-    Cell &C = cell(Ref);
-    assert(Index < C.Slots.size() && "heap slot out of range");
-    C.Slots[Index] = V;
+    const Cell &C = cell(Ref);
+    assert(Index < C.Length && "heap slot out of range");
+    Slots[C.Offset + Index] = V;
   }
 
   size_t numCells() const { return Cells.size(); }
@@ -103,21 +105,22 @@ public:
 private:
   struct Cell {
     int32_t ClassIndex = -1;
+    uint32_t Length = 0; ///< slot count
+    size_t Offset = 0;   ///< first slot in Slots
     DataType ElemType = DataType::Void;
     bool IsArray = false;
-    std::vector<Value> Slots;
   };
+
+  /// Appends a cell with \p Length zeroed slots; returns its reference.
+  uint32_t append(Cell C, uint32_t Length);
 
   const Cell &cell(uint32_t Ref) const {
     assert(Ref != NullRef && Ref < Cells.size() && "bad heap reference");
     return Cells[Ref];
   }
-  Cell &cell(uint32_t Ref) {
-    assert(Ref != NullRef && Ref < Cells.size() && "bad heap reference");
-    return Cells[Ref];
-  }
 
   std::vector<Cell> Cells;
+  std::vector<Value> Slots; ///< every cell's slots, back to back
   uint64_t BytesAllocated = 0;
 };
 

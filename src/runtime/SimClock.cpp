@@ -19,12 +19,7 @@ SimClock::SimClock(const Config &C) : Cfg(C), R(C.Seed) {
   NextMigration = Cfg.MigrationPeriod * (0.5 + R.nextDouble());
 }
 
-void SimClock::advance(double C) {
-  Cycles += C;
-  maybeMigrate();
-}
-
-void SimClock::maybeMigrate() {
+void SimClock::migrate() {
   while (Cycles >= NextMigration) {
     uint32_t NewCore = (uint32_t)R.nextBelow(Cfg.NumCores);
     if (NewCore != Core)

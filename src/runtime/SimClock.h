@@ -42,8 +42,21 @@ public:
   SimClock() : SimClock(Config{}) {}
   explicit SimClock(const Config &C);
 
-  /// Advances simulated time by \p Cycles (fractional cycles accumulate).
-  void advance(double Cycles);
+  /// Advances simulated time by \p C cycles (fractional cycles
+  /// accumulate). Inline because the engines charge once per executed
+  /// instruction; only a crossed migration point leaves the fast path.
+  void advance(double C) { advanceTo(Cycles + C); }
+
+  /// Sets the total to \p Total, which an engine accumulated from cycles()
+  /// with its own additions, and performs every migration it reached.
+  void advanceTo(double Total) {
+    Cycles = Total;
+    if (Cycles >= NextMigration)
+      migrate();
+  }
+
+  /// The cycle total at which the next thread migration happens.
+  double nextMigration() const { return NextMigration; }
 
   /// Total cycles elapsed since construction.
   double cycles() const { return Cycles; }
@@ -56,7 +69,8 @@ public:
   uint64_t migrations() const { return Migrations; }
 
 private:
-  void maybeMigrate();
+  /// Performs every migration whose point the total has reached.
+  void migrate();
 
   Config Cfg;
   Rng R;

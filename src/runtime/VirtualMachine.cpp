@@ -2,6 +2,7 @@
 
 #include "runtime/VirtualMachine.h"
 
+#include "bytecode/Verifier.h"
 #include "il/ILGenerator.h"
 #include "il/LoopInfo.h"
 #include "runtime/ExecInternal.h"
@@ -16,6 +17,8 @@ VirtualMachine::VirtualMachine(const Program &P, const Config &C)
   Globals.resize(P.numGlobals());
   Code.reset(P.numMethods());
   LoopClassCache.assign(P.numMethods(), -1);
+  fillInterpCosts(Cfg.Cost, InterpCosts);
+  StackBounds.assign(P.numMethods(), UINT32_MAX);
   if (Cfg.Async.Enabled && Cfg.EnableJit) {
     AsyncCompilePipeline::Config PC;
     PC.Workers = Cfg.Async.Workers;
@@ -57,6 +60,20 @@ LoopClass VirtualMachine::loopClassOf(uint32_t MethodIndex) {
     Cached = (int8_t)LoopInfo(*IL).classify();
   }
   return (LoopClass)Cached;
+}
+
+bool VirtualMachine::stackBoundOf(uint32_t MethodIndex, uint32_t &Bound) {
+  constexpr uint32_t Unknown = UINT32_MAX, Rejected = UINT32_MAX - 1;
+  uint32_t &Cached = StackBounds[MethodIndex];
+  if (Cached == Unknown) {
+    Cached = Prog.methodAt(MethodIndex).MaxStack;
+    // Zero is also what a program that skipped the verifier carries: verify
+    // the method here, once, rather than interpret it without a bound.
+    if (Cached == 0 && !checkMethod(Prog, MethodIndex, Cached).ok())
+      Cached = Rejected;
+  }
+  Bound = Cached;
+  return Cached != Rejected;
 }
 
 ExecResult VirtualMachine::raise(RtExceptionKind Kind) {
@@ -218,8 +235,8 @@ CompilationQueue::Counters VirtualMachine::asyncQueueCounters() const {
                    : CompilationQueue::Counters();
 }
 
-ExecResult VirtualMachine::invoke(uint32_t MethodIndex,
-                                  std::vector<Value> Args, unsigned Depth) {
+ExecResult VirtualMachine::invoke(uint32_t MethodIndex, const Value *Args,
+                                  size_t NumArgs, unsigned Depth) {
   if (Depth > Cfg.MaxCallDepth)
     return raise(RtExceptionKind::StackOverflow);
   // Apply finished background compilations before dispatching: a relaxed
@@ -227,8 +244,7 @@ ExecResult VirtualMachine::invoke(uint32_t MethodIndex,
   if (AsyncPipe && AsyncPipe->hasCompletions())
     flushAsyncCompletions();
   const MethodInfo &M = Prog.methodAt(MethodIndex);
-  assert(Args.size() == M.numArgs() &&
-         "invoke with wrong argument count");
+  assert(NumArgs == M.numArgs() && "invoke with wrong argument count");
   ++Stat.Invocations;
 
   const NativeMethod *Native = Code.lookup(MethodIndex);
@@ -246,10 +262,10 @@ ExecResult VirtualMachine::invoke(uint32_t MethodIndex,
   double CyclesBefore = Clock.cycles();
   ExecResult Result;
   if (Native) {
-    Result = executeNative(*this, *Native, std::move(Args), Depth);
+    Result = executeNative(*this, *Native, Args, NumArgs, Depth);
   } else {
     ++Stat.InterpretedInvocations;
-    Result = interpretMethod(*this, MethodIndex, std::move(Args), Depth);
+    Result = interpretMethod(*this, MethodIndex, Args, NumArgs, Depth);
   }
   double Spent = Clock.cycles() - CyclesBefore;
 
@@ -278,5 +294,5 @@ ExecResult VirtualMachine::invoke(uint32_t MethodIndex,
 
 ExecResult VirtualMachine::run(const std::vector<Value> &Args) {
   assert(Prog.entryMethod() >= 0 && "program has no entry method");
-  return invoke((uint32_t)Prog.entryMethod(), Args, 0);
+  return invoke((uint32_t)Prog.entryMethod(), Args.data(), Args.size(), 0);
 }

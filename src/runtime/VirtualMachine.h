@@ -30,6 +30,7 @@
 #include "runtime/Heap.h"
 #include "runtime/SimClock.h"
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -119,11 +120,17 @@ public:
   /// result, or the exception that escaped main.
   ExecResult run(const std::vector<Value> &Args = {});
 
-  /// Invokes an arbitrary method (used by both engines for calls and by
-  /// tests to drive single methods). \p Depth guards against runaway
-  /// recursion.
-  ExecResult invoke(uint32_t MethodIndex, std::vector<Value> Args,
-                    unsigned Depth = 0);
+  /// Invokes an arbitrary method with the \p NumArgs arguments at \p Args
+  /// (used by both engines for calls, with \p Args pointing into the
+  /// caller's frame). \p Depth guards against runaway recursion.
+  ExecResult invoke(uint32_t MethodIndex, const Value *Args, size_t NumArgs,
+                    unsigned Depth);
+
+  /// Adapter over the span form for tests, the fuzzer and the examples.
+  ExecResult invoke(uint32_t MethodIndex, const std::vector<Value> &Args,
+                    unsigned Depth = 0) {
+    return invoke(MethodIndex, Args.data(), Args.size(), Depth);
+  }
 
   /// Forces a compilation at \p Level right now (tests, examples).
   void compileMethod(uint32_t MethodIndex, OptLevel Level,
@@ -220,9 +227,16 @@ public:
 
 private:
   friend ExecResult interpretMethod(VirtualMachine &, uint32_t,
-                                    std::vector<Value>, unsigned);
+                                    const Value *, size_t, unsigned);
   friend ExecResult executeNative(VirtualMachine &, const NativeMethod &,
-                                  std::vector<Value>, unsigned);
+                                  const Value *, size_t, unsigned);
+  friend class RegisterClock;
+  class FrameLease; // runtime/ExecInternal.h
+
+  /// Operand-stack slots the interpreter reserves for \p MethodIndex: the
+  /// verifier's MaxStack, or, when the program skipped the verifier, the
+  /// verifier run here once. False when the verifier rejects the method.
+  bool stackBoundOf(uint32_t MethodIndex, uint32_t &Bound);
 
   /// Applies buffered worker completions to the single-threaded VM state
   /// (CompilationControl, statistics, listener) on the interpreter thread.
@@ -243,6 +257,16 @@ private:
   RecompileGate Gate;
   JitEventListener *Listener = nullptr;
   Stats Stat;
+  /// Interpreter charge per opcode (dispatch + intrinsic cost), indexed by
+  /// the opcode's byte.
+  std::array<double, 256> InterpCosts;
+  std::vector<uint32_t> StackBounds; ///< cache behind stackBoundOf()
+  /// Engine frame storage, one buffer per call depth, reused by every
+  /// activation at that depth (see FrameLease).
+  std::vector<std::vector<Value>> Frames;
+  /// One past the depth of the innermost live engine activation (0 when
+  /// none is live).
+  unsigned FrameTop = 0;
   uint64_t SyncTicket = 0; ///< install sequence when no pipeline exists
   /// Declared last: destroyed first, so workers are joined before any
   /// state they reference goes away.
