@@ -4,18 +4,11 @@
 #   build        regular configure + build
 #   tests        full ctest suite (the ROADMAP command)
 #   asan         ASan+UBSan build re-running the whole ctest suite
-#   tsan         ThreadSanitizer build re-running the concurrent subsystems
-#                (compilation queue, code cache, async pipeline, shared
-#                bridge client, differential interpreter-vs-JIT checks,
-#                chaos scenarios with injected stalls)
+#   tsan         ThreadSanitizer build re-running the whole ctest suite
 #   pipeline     learning-pipeline parallelism: micro_pipeline emits
 #                BENCH_pipeline.json (bit-identity enforced by the binary)
-#                and the Pipeline/TrainerEquivalence tests re-run under
-#                the ThreadSanitizer build
 #   telemetry    observability layer: micro_telemetry enforces the <2%
-#                disabled-overhead gate (BENCH_telemetry.json) and the
-#                ConcurrentTelemetry/TelemetryTrace tests re-run under
-#                the ThreadSanitizer build
+#                disabled-overhead gate (BENCH_telemetry.json)
 #   chaos        fault-injection layer: micro_faults enforces the <1%
 #                disabled-overhead gate and bit-identical figures under
 #                the never-firing `*=p0` schedule (BENCH_faults.json)
@@ -104,24 +97,17 @@ tsan_step() {
   require_flag build-tsan JITML_TSAN &&
     cmake -B build-tsan -S . -DJITML_TSAN=ON &&
     cmake --build build-tsan -j"$(nproc)" --target jitml_tests jitml_exec_tests &&
-    (cd build-tsan && ctest --output-on-failure -j"$(nproc)" -R \
-      'CompilationQueue\.|CodeCache\.|AsyncPipeline\.|AsyncVM\.|Differential\.|DifferentialModifier\.|ConcurrentBridge\.|Chaos\.|Oracle\.|Campaign\.|OptMemo\.|Serve\.')
+    (cd build-tsan && ctest --output-on-failure -j"$(nproc)")
 }
 
 pipeline_step() {
   cmake --build build -j"$(nproc)" --target micro_pipeline &&
-    ./build/bench/micro_pipeline BENCH_pipeline.json &&
-    cmake --build build-tsan -j"$(nproc)" --target jitml_tests jitml_exec_tests &&
-    (cd build-tsan && ctest --output-on-failure -j"$(nproc)" -R \
-      'Pipeline\.|TrainerEquivalence\.')
+    ./build/bench/micro_pipeline BENCH_pipeline.json
 }
 
 telemetry_step() {
   cmake --build build -j"$(nproc)" --target micro_telemetry &&
-    ./build/bench/micro_telemetry BENCH_telemetry.json &&
-    cmake --build build-tsan -j"$(nproc)" --target jitml_tests jitml_exec_tests &&
-    (cd build-tsan && ctest --output-on-failure -j"$(nproc)" -R \
-      'ConcurrentTelemetry\.|TelemetryTrace\.')
+    ./build/bench/micro_telemetry BENCH_telemetry.json
 }
 
 chaos_step() {

@@ -667,3 +667,10 @@ std::unique_ptr<MethodIL> jitml::generateIL(const Program &P,
                                             uint32_t MethodIndex) {
   return Generator(P, MethodIndex).run();
 }
+
+const MethodIL &ILCache::get(uint32_t MethodIndex) {
+  std::unique_ptr<MethodIL> &IL = ILs[MethodIndex];
+  if (!IL)
+    IL = generateIL(Prog, MethodIndex);
+  return *IL;
+}

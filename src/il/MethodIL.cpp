@@ -106,6 +106,29 @@ MethodIL::MethodIL(const Program &P, uint32_t MethodIndex)
   LocalTypes = M.LocalTypes;
 }
 
+std::unique_ptr<MethodIL> MethodIL::clone() const {
+  auto C = std::make_unique<MethodIL>(*Prog, MethodIndex);
+  C->Nodes.resize(Nodes.size());
+  for (size_t I = 0; I < Nodes.size(); ++I) {
+    const Node &Src = Nodes[I];
+    Node &Dst = C->Nodes[I];
+    Dst.Op = Src.Op;
+    Dst.Type = Src.Type;
+    Dst.A = Src.A;
+    Dst.B = Src.B;
+    Dst.ConstI = Src.ConstI;
+    Dst.ConstF = Src.ConstF;
+    C->assignKids(Dst, Src.Kids.data(), Src.Kids.size());
+  }
+  C->Blocks = Blocks;
+  C->LocalTypes = LocalTypes;
+  C->Entry = Entry;
+  C->ModEpoch = ModEpoch;
+  C->LiveCountEpoch = LiveCountEpoch;
+  C->LiveCount = LiveCount;
+  return C;
+}
+
 NodeId *MethodIL::allocKids(size_t N) {
   constexpr size_t ChunkSize = 1024;
   if (KidChunkUsed + N > KidChunkCap) {

@@ -171,13 +171,20 @@ struct Block {
 /// countLiveNodes() serve a cached count (all invalidated by construction
 /// the moment anything could have changed). The epoch over-approximates:
 /// a mutable accessor bumps even if the caller never writes, which costs
-/// only cache hit-rate, never soundness. One compile owns one MethodIL on
-/// one thread, so the mutable caches need no synchronization.
+/// only cache hit-rate, never soundness. A MethodIL is used by one thread
+/// at a time (one compile, or one thread's ILCache), so the mutable caches
+/// need no synchronization.
 class MethodIL {
 public:
   MethodIL(const Program &P, uint32_t MethodIndex);
   MethodIL(const MethodIL &) = delete;
   MethodIL &operator=(const MethodIL &) = delete;
+
+  /// Deep copy with the same node ids, blocks, locals and epoch, and fresh
+  /// kid-pool storage for the wide nodes. A compile optimizes a clone of
+  /// the IL an ILCache keeps; the clone of freshly generated IL matches a
+  /// fresh generateIL node for node.
+  std::unique_ptr<MethodIL> clone() const;
 
   const Program &program() const { return *Prog; }
   uint32_t methodIndex() const { return MethodIndex; }
@@ -284,7 +291,7 @@ private:
   size_t KidChunkCap = 0;
 
   /// countLiveNodes() cache, valid while the epoch matches. Mutable: one
-  /// compile owns one MethodIL on one thread (see class comment).
+  /// thread uses a MethodIL at a time (see class comment).
   mutable uint64_t LiveCountEpoch = UINT64_MAX;
   mutable uint32_t LiveCount = 0;
 };

@@ -9,8 +9,6 @@
 
 #include "opt/Passes.h"
 
-#include "il/ILGenerator.h"
-
 #include <unordered_map>
 
 using namespace jitml;
@@ -69,16 +67,16 @@ uint32_t inlineSite(PassContext &Ctx, const CallSite &Site,
   uint32_t CalleeIdx = (uint32_t)IL.node(Site.CallNode).A;
   const MethodInfo &CalleeInfo = P.methodAt(CalleeIdx);
 
-  std::unique_ptr<MethodIL> CalleeIL = generateIL(P, CalleeIdx);
-  uint32_t CalleeNodes = CalleeIL->countLiveNodes();
+  const MethodIL &CCal = Ctx.calleeIL(CalleeIdx);
+  uint32_t CalleeNodes = CCal.countLiveNodes();
   Ctx.charge((double)CalleeNodes * 2);
   if (CalleeNodes > CalleeNodeBudget)
     return 0;
 
   // Map callee locals into fresh caller locals.
   std::unordered_map<uint32_t, uint32_t> LocalMap;
-  for (uint32_t L = 0; L < CalleeIL->numLocals(); ++L)
-    LocalMap[L] = IL.addLocal(CalleeIL->localType(L));
+  for (uint32_t L = 0; L < CCal.numLocals(); ++L)
+    LocalMap[L] = IL.addLocal(CCal.localType(L));
 
   uint32_t RetSlot = UINT32_MAX;
   if (CalleeInfo.ReturnType != DataType::Void)
@@ -123,15 +121,14 @@ uint32_t inlineSite(PassContext &Ctx, const CallSite &Site,
   }
 
   // Create a caller block for every callee block.
-  std::vector<BlockId> BlockMap(CalleeIL->numBlocks());
-  for (BlockId CB = 0; CB < CalleeIL->numBlocks(); ++CB) {
+  std::vector<BlockId> BlockMap(CCal.numBlocks());
+  for (BlockId CB = 0; CB < CCal.numBlocks(); ++CB) {
     BlockId NB = IL.makeBlock();
     BlockMap[CB] = NB;
   }
   // Deep-copy the callee node arena tree by tree, remapping locals.
   // A node-id translation table keeps callee DAG sharing intact.
   std::unordered_map<NodeId, NodeId> NodeMap;
-  const MethodIL &CCal = *CalleeIL;
   auto Import = [&](auto &&Self, NodeId CalleeNode) -> NodeId {
     auto It = NodeMap.find(CalleeNode);
     if (It != NodeMap.end())
@@ -161,7 +158,7 @@ uint32_t inlineSite(PassContext &Ctx, const CallSite &Site,
     return Fresh;
   };
 
-  for (BlockId CB = 0; CB < CalleeIL->numBlocks(); ++CB) {
+  for (BlockId CB = 0; CB < CCal.numBlocks(); ++CB) {
     const Block &Src = CCal.block(CB);
     Block &Dst = IL.block(BlockMap[CB]);
     Dst.IsHandler = Src.IsHandler;
@@ -197,7 +194,7 @@ uint32_t inlineSite(PassContext &Ctx, const CallSite &Site,
 
   // Jump from the caller prefix into the inlined entry.
   IL.block(B).Trees.push_back(IL.makeNode(ILOp::Goto, DataType::Void));
-  IL.addEdge(B, BlockMap[CalleeIL->entryBlock()]);
+  IL.addEdge(B, BlockMap[CCal.entryBlock()]);
 
   // The call node now stands for the returned value.
   if (RetSlot != UINT32_MAX)

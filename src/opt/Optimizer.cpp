@@ -203,11 +203,11 @@ MemoCounters &memoCounters() {
 } // namespace
 
 OptimizeResult jitml::optimize(MethodIL &IL, const CompilationPlan &Plan,
-                               const BitSet64 &EnabledMask) {
+                               const BitSet64 &EnabledMask, ILCache *Callees) {
   assert(EnabledMask.width() == NumTransformations &&
          "modifier mask must cover all 58 transformations");
   OptimizeResult Result;
-  PassContext Ctx(IL);
+  PassContext Ctx(IL, Callees);
   // Plans repeat cleanup passes heavily (a scorching plan has 170+ entries
   // over 58 kinds); once a kind has run to no effect, later occurrences hit
   // here until something actually changes the IL. All charge() accounting

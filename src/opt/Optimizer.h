@@ -42,9 +42,12 @@ bool runTransformation(PassContext &Ctx, TransformationKind K);
 
 /// Applies \p Plan to \p IL. \p EnabledMask holds one bit per
 /// TransformationKind (bit set = transformation enabled); pass
-/// BitSet64::allOne(NumTransformations) for the unmodified plan.
+/// BitSet64::allOne(NumTransformations) for the unmodified plan. The
+/// inliner reads callee IL from \p Callees; without it, from a cache kept
+/// for this call.
 OptimizeResult optimize(MethodIL &IL, const CompilationPlan &Plan,
-                        const BitSet64 &EnabledMask);
+                        const BitSet64 &EnabledMask,
+                        ILCache *Callees = nullptr);
 
 } // namespace jitml
 

@@ -6,6 +6,16 @@
 
 using namespace jitml;
 
+const MethodIL &PassContext::calleeIL(uint32_t MethodIndex) {
+  if (!Callees) {
+    OwnCallees = std::make_unique<ILCache>(IL.program());
+    Callees = OwnCallees.get();
+  }
+  assert(&Callees->program() == &IL.program() &&
+         "callee IL must come from the caller's program");
+  return Callees->get(MethodIndex);
+}
+
 const LoopInfo &PassContext::loopInfo() {
   uint64_t E = IL.modEpoch();
   if (!CachedLI || LIEpoch != E || !memoEnabled()) {

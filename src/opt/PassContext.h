@@ -14,6 +14,7 @@
 #define JITML_OPT_PASSCONTEXT_H
 
 #include "il/Dominators.h"
+#include "il/ILGenerator.h"
 #include "il/LoopInfo.h"
 #include "il/MethodIL.h"
 #include "opt/Transformation.h"
@@ -38,7 +39,11 @@ struct ChargeRec {
 
 class PassContext {
 public:
-  explicit PassContext(MethodIL &IL) : IL(IL) {}
+  /// \p Callees supplies the IL the inliner splices in. Without one the
+  /// context keeps its own for its lifetime, so a callee inlined at several
+  /// sites is still generated once.
+  explicit PassContext(MethodIL &IL, ILCache *Callees = nullptr)
+      : IL(IL), Callees(Callees) {}
 
   MethodIL &il() { return IL; }
   /// Const view of the IL for reads. Prefer this inside analyses and scan
@@ -47,6 +52,9 @@ public:
   /// memoization hit-rate.
   const MethodIL &cil() const { return IL; }
   const Program &program() const { return IL.program(); }
+
+  /// The unoptimized IL of \p MethodIndex, for the inliner to import.
+  const MethodIL &calleeIL(uint32_t MethodIndex);
 
   /// Charges \p Cycles of compile effort to the current pass.
   void charge(double Cycles) {
@@ -105,6 +113,8 @@ public:
 
 private:
   MethodIL &IL;
+  ILCache *Callees;
+  std::unique_ptr<ILCache> OwnCallees; ///< when no cache was passed in
   double CompileCycles = 0.0;
   std::vector<ChargeRec> *ChargeLog = nullptr;
   /// Flat per-kind change counters (NumTransformations is small and fixed;

@@ -4,8 +4,6 @@
 
 #include "codegen/CodeGenerator.h"
 #include "features/FeatureExtractor.h"
-#include "il/ILGenerator.h"
-#include "il/LoopInfo.h"
 #include "opt/Optimizer.h"
 #include "runtime/ExecInternal.h"
 #include "support/FaultInjection.h"
@@ -15,21 +13,35 @@
 
 using namespace jitml;
 
-CompiledBody jitml::compileMethodBody(const Program &P, uint32_t MethodIndex,
+const FeatureVector &CompileInputs::features(uint32_t MethodIndex) {
+  Record &R = Records[MethodIndex];
+  if (!R.HasFeatures) {
+    R.Features = extractFeatures(ILs.get(MethodIndex));
+    R.HasFeatures = true;
+  }
+  return R.Features;
+}
+
+LoopClass CompileInputs::classify(uint32_t MethodIndex) {
+  LoopClass L = LoopInfo(ILs.get(MethodIndex)).classify();
+  Records[MethodIndex].Loop = (int8_t)L;
+  return L;
+}
+
+CompiledBody jitml::compileMethodBody(ILCache &ILs, uint32_t MethodIndex,
                                       const CompilationPlan &Plan,
                                       const PlanModifier &Modifier,
                                       const CostModel &Cost) {
-  std::unique_ptr<MethodIL> IL = generateIL(P, MethodIndex);
+  std::unique_ptr<MethodIL> IL = ILs.get(MethodIndex).clone();
   bool IlTrusted = true;
   if (verify::verifyIlMode() != verify::VerifyIlMode::Off)
     IlTrusted = verify::checkAfterPass(*IL, "ilgen", -1);
   LoopInfo::annotateFrequencies(*IL);
-  FeatureVector Features = extractFeatures(*IL);
 
   // Broken ilgen output (only survivable under a collecting failure
   // handler) skips the pass pipeline: passes assume the invariants hold.
   OptimizeResult Opt =
-      IlTrusted ? optimize(*IL, Plan, Modifier.enabledMask())
+      IlTrusted ? optimize(*IL, Plan, Modifier.enabledMask(), &ILs)
                 : OptimizeResult();
   NativeMethod Native = generateCode(*IL, Opt.CodegenOptions, Plan.Level, Cost);
 
@@ -39,15 +51,8 @@ CompiledBody jitml::compileMethodBody(const Program &P, uint32_t MethodIndex,
   CompiledBody Out;
   Out.CompileCycles = Opt.CompileCycles + Native.CompileCycles;
   Native.CompileCycles = Out.CompileCycles;
-  Out.Features = Features;
   Out.Native = std::make_unique<NativeMethod>(std::move(Native));
   return Out;
-}
-
-FeatureVector jitml::extractMethodFeatures(const Program &P,
-                                           uint32_t MethodIndex) {
-  std::unique_ptr<MethodIL> IL = generateIL(P, MethodIndex);
-  return extractFeatures(*IL);
 }
 
 AsyncCompilePipeline::AsyncCompilePipeline(const Program &P,
@@ -111,7 +116,7 @@ void AsyncCompilePipeline::shutdown(bool FinishPending) {
 
 std::vector<PlanModifier> AsyncCompilePipeline::modifiersForBatch(
     const std::vector<AsyncCompileTask> &Tasks,
-    std::vector<CompileCompletion> &Partial) {
+    std::vector<CompileCompletion> &Partial, CompileInputs &Inputs) {
   ModifierFn H;
   BatchModifierFn BH;
   {
@@ -129,7 +134,7 @@ std::vector<PlanModifier> AsyncCompilePipeline::modifiersForBatch(
     for (size_t I = 0; I < Tasks.size(); ++I) {
       Items[I].MethodIndex = Tasks[I].MethodIndex;
       Items[I].Level = Tasks[I].Level;
-      Items[I].Features = extractMethodFeatures(Prog, Tasks[I].MethodIndex);
+      Items[I].Features = Inputs.features(Tasks[I].MethodIndex);
     }
     BatchPredicts.fetch_add(1, std::memory_order_relaxed);
     Tel.BatchPredicts->add();
@@ -146,7 +151,7 @@ std::vector<PlanModifier> AsyncCompilePipeline::modifiersForBatch(
   }
 
   for (size_t I = 0; I < Tasks.size(); ++I) {
-    FeatureVector F = extractMethodFeatures(Prog, Tasks[I].MethodIndex);
+    const FeatureVector &F = Inputs.features(Tasks[I].MethodIndex);
     try {
       if (BH) {
         BatchPredicts.fetch_add(1, std::memory_order_relaxed);
@@ -169,6 +174,8 @@ std::vector<PlanModifier> AsyncCompilePipeline::modifiersForBatch(
 }
 
 void AsyncCompilePipeline::workerLoop(unsigned WorkerId) {
+  // This worker's own IL and features, never shared with another thread.
+  CompileInputs Inputs(Prog);
   for (;;) {
     std::vector<AsyncCompileTask> Tasks = Queue.dequeueBatch(Cfg.MaxPredictBatch);
     if (Tasks.empty())
@@ -176,7 +183,7 @@ void AsyncCompilePipeline::workerLoop(unsigned WorkerId) {
     uint64_t BatchStartUs = telemetryNowUs();
 
     std::vector<CompileCompletion> Done(Tasks.size());
-    std::vector<PlanModifier> Mods = modifiersForBatch(Tasks, Done);
+    std::vector<PlanModifier> Mods = modifiersForBatch(Tasks, Done, Inputs);
 
     for (size_t I = 0; I < Tasks.size(); ++I) {
       const AsyncCompileTask &T = Tasks[I];
@@ -186,14 +193,13 @@ void AsyncCompilePipeline::workerLoop(unsigned WorkerId) {
       if (JITML_FAULT_POINT_ARG("pipeline.worker.stall", StallMs))
         faultDelayMs(StallMs);
       uint64_t StartUs = telemetryNowUs();
-      CompiledBody Body = compileMethodBody(Prog, T.MethodIndex,
+      CompiledBody Body = compileMethodBody(Inputs.ils(), T.MethodIndex,
                                             planForLevel(T.Level), Mods[I],
                                             Cost);
       CompileCompletion &C = Done[I];
       C.MethodIndex = T.MethodIndex;
       C.Level = T.Level;
       C.Modifier = Mods[I];
-      C.Features = Body.Features;
       C.CompileCycles = Body.CompileCycles;
       C.IsExplorationRecompile = T.IsExplorationRecompile;
       C.Installed = Cache.install(T.MethodIndex, std::move(Body.Native),

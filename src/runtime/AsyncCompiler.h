@@ -10,15 +10,18 @@
 /// and publishes finished bodies through CodeCache's atomic install.
 ///
 /// Threading contract: workers touch only immutable inputs (the Program,
-/// the plans, the cost model) plus the explicitly thread-safe pieces
-/// (CompilationQueue, CodeCache, the hooks the caller installed — a hook
-/// shared by several workers must itself be thread-safe, which
-/// ResilientModelClient and LearnedStrategyProvider are). Everything else
-/// — CompilationControl bookkeeping, VM statistics, JitEventListener
-/// callbacks — stays on the interpreter thread: workers append a
-/// CompileCompletion record to a buffer, and the VM flushes that buffer
-/// from its own dispatch loop (a relaxed flag check per invocation, a
-/// lock only when completions are actually pending).
+/// the plans, the cost model), their own CompileInputs, plus the
+/// explicitly thread-safe pieces (CompilationQueue, CodeCache, the hooks
+/// the caller installed — a hook shared by several workers must itself be
+/// thread-safe, which ResilientModelClient and LearnedStrategyProvider
+/// are). Each worker builds its CompileInputs (the IL and features of the
+/// methods it compiles) when it starts and drops it when it exits; no
+/// other thread ever sees it. Everything else — CompilationControl
+/// bookkeeping, VM statistics, JitEventListener callbacks — stays on the
+/// interpreter thread: workers append a CompileCompletion record to a
+/// buffer, and the VM flushes that buffer from its own dispatch loop (a
+/// relaxed flag check per invocation, a lock only when completions are
+/// actually pending).
 ///
 /// Failure semantics mirror the sync path: a hook that throws (or a model
 /// call that falls back) compiles with the unmodified hand-tuned plan and
@@ -31,6 +34,8 @@
 
 #include "codegen/CostModel.h"
 #include "features/FeatureVector.h"
+#include "il/ILGenerator.h"
+#include "il/LoopInfo.h"
 #include "modifiers/Modifier.h"
 #include "runtime/CodeCache.h"
 #include "runtime/CompilationQueue.h"
@@ -41,33 +46,72 @@
 
 namespace jitml {
 
-class Program;
+/// What one compiling thread knows of a program's methods: each method's
+/// IL as generateIL builds it (an ILCache), and the feature vector and loop
+/// class computed from that IL. Each is computed on first use and kept for
+/// the object's lifetime, so a method's IL is generated and its features
+/// are extracted once however often it is compiled, inlined or classified.
+/// Not safe for concurrent use (see ILCache): the VM's interpreter thread
+/// and each async worker own one apiece.
+class CompileInputs {
+public:
+  explicit CompileInputs(const Program &P)
+      : ILs(P), Records(P.numMethods()) {}
+
+  ILCache &ils() { return ILs; }
+
+  /// Features of a method as the strategy hook sees them (Figure 5 step d:
+  /// computed from the IL just prior to optimization).
+  const FeatureVector &features(uint32_t MethodIndex);
+
+  /// The method's loop class, the input of CompilationControl's triggers.
+  /// Asked on every invocation, so the classified case stays inline.
+  LoopClass loopClass(uint32_t MethodIndex) {
+    int8_t L = Records[MethodIndex].Loop;
+    return L >= 0 ? (LoopClass)L : classify(MethodIndex);
+  }
+
+private:
+  LoopClass classify(uint32_t MethodIndex);
+
+  struct Record {
+    FeatureVector Features;
+    bool HasFeatures = false;
+    int8_t Loop = -1; ///< -1: not yet classified
+  };
+  ILCache ILs;
+  std::vector<Record> Records;
+};
 
 /// Everything a compilation produced, before installation bookkeeping.
 struct CompiledBody {
   std::unique_ptr<NativeMethod> Native;
-  FeatureVector Features; ///< extracted just prior to optimization
   double CompileCycles = 0.0;
 };
 
-/// The pure compile pipeline for one method: IL generation, frequency
-/// annotation, feature extraction, plan-driven optimization, code
-/// generation. Reads only immutable state, so any thread may call it.
-CompiledBody compileMethodBody(const Program &P, uint32_t MethodIndex,
+/// The pure compile pipeline for one method: clone the IL \p ILs keeps,
+/// then frequency annotation, plan-driven optimization (callees inlined
+/// from \p ILs) and code generation. Reads only immutable state besides
+/// \p ILs, so any thread may call it with a cache of its own.
+CompiledBody compileMethodBody(ILCache &ILs, uint32_t MethodIndex,
                                const CompilationPlan &Plan,
                                const PlanModifier &Modifier,
                                const CostModel &Cost);
 
-/// Features of a method as the strategy hook sees them (Figure 5 step d:
-/// computed just prior to optimization). Thread-safe like compileMethodBody.
-FeatureVector extractMethodFeatures(const Program &P, uint32_t MethodIndex);
+/// Adapter over the cached form with a cache for this one compile.
+inline CompiledBody compileMethodBody(const Program &P, uint32_t MethodIndex,
+                                      const CompilationPlan &Plan,
+                                      const PlanModifier &Modifier,
+                                      const CostModel &Cost) {
+  ILCache ILs(P);
+  return compileMethodBody(ILs, MethodIndex, Plan, Modifier, Cost);
+}
 
 /// A finished background compilation, consumed by the interpreter thread.
 struct CompileCompletion {
   uint32_t MethodIndex = 0;
   OptLevel Level = OptLevel::Cold;
   PlanModifier Modifier;
-  FeatureVector Features;
   double CompileCycles = 0.0;
   bool IsExplorationRecompile = false;
   bool Installed = false;  ///< false: lost the install race to a newer ticket
@@ -143,7 +187,8 @@ private:
   void workerLoop(unsigned WorkerId);
   std::vector<PlanModifier>
   modifiersForBatch(const std::vector<AsyncCompileTask> &Tasks,
-                    std::vector<CompileCompletion> &Partial);
+                    std::vector<CompileCompletion> &Partial,
+                    CompileInputs &Inputs);
 
   const Program &Prog;
   const CostModel &Cost;

@@ -3,8 +3,6 @@
 #include "runtime/VirtualMachine.h"
 
 #include "bytecode/Verifier.h"
-#include "il/ILGenerator.h"
-#include "il/LoopInfo.h"
 #include "runtime/ExecInternal.h"
 #include "support/Telemetry.h"
 
@@ -13,10 +11,9 @@ using namespace jitml;
 JitEventListener::~JitEventListener() = default;
 
 VirtualMachine::VirtualMachine(const Program &P, const Config &C)
-    : Prog(P), Cfg(C), Clock(C.Clock), Control(C.Control) {
+    : Prog(P), Cfg(C), Clock(C.Clock), Control(C.Control), Inputs(P) {
   Globals.resize(P.numGlobals());
   Code.reset(P.numMethods());
-  LoopClassCache.assign(P.numMethods(), -1);
   fillInterpCosts(Cfg.Cost, InterpCosts);
   StackBounds.assign(P.numMethods(), UINT32_MAX);
   if (Cfg.Async.Enabled && Cfg.EnableJit) {
@@ -53,15 +50,6 @@ const NativeMethod *VirtualMachine::nativeOf(uint32_t MethodIndex) const {
   return Code.lookup(MethodIndex);
 }
 
-LoopClass VirtualMachine::loopClassOf(uint32_t MethodIndex) {
-  int8_t &Cached = LoopClassCache[MethodIndex];
-  if (Cached < 0) {
-    std::unique_ptr<MethodIL> IL = generateIL(Prog, MethodIndex);
-    Cached = (int8_t)LoopInfo(*IL).classify();
-  }
-  return (LoopClass)Cached;
-}
-
 bool VirtualMachine::stackBoundOf(uint32_t MethodIndex, uint32_t &Bound) {
   constexpr uint32_t Unknown = UINT32_MAX, Rejected = UINT32_MAX - 1;
   uint32_t &Cached = StackBounds[MethodIndex];
@@ -94,10 +82,9 @@ void VirtualMachine::compileMethod(uint32_t MethodIndex, OptLevel Level,
   }
   // "The Strategy Control extension computes the features for the method
   // being compiled" just prior to optimization (Figure 5 step d).
-  FeatureVector Features = extractMethodFeatures(Prog, MethodIndex);
   PlanModifier Modifier;
   try {
-    Modifier = Hook(MethodIndex, Level, Features);
+    Modifier = Hook(MethodIndex, Level, Inputs.features(MethodIndex));
   } catch (...) {
     // A misbehaving strategy hook must never take the VM down: compile
     // with the unmodified hand-tuned plan instead.
@@ -114,9 +101,8 @@ void VirtualMachine::compileWithPlan(uint32_t MethodIndex,
   OptLevel Level = Plan.Level;
   uint64_t StartUs = telemetryNowUs();
   CompiledBody Body =
-      compileMethodBody(Prog, MethodIndex, Plan, Modifier, Cfg.Cost);
+      compileMethodBody(Inputs.ils(), MethodIndex, Plan, Modifier, Cfg.Cost);
   double TotalCompile = Body.CompileCycles;
-  FeatureVector Features = Body.Features;
 
   bool Installed =
       Code.install(MethodIndex, std::move(Body.Native), nextInstallTicket());
@@ -157,7 +143,7 @@ void VirtualMachine::compileWithPlan(uint32_t MethodIndex,
     Event.MethodIndex = MethodIndex;
     Event.Level = Level;
     Event.Modifier = Modifier;
-    Event.Features = Features;
+    Event.Features = Inputs.features(MethodIndex);
     Event.CompileCycles = TotalCompile;
     Event.IsExplorationRecompile = IsExploration;
     Listener->onCompile(Event);
@@ -189,7 +175,7 @@ void VirtualMachine::flushAsyncCompletions() {
       Event.MethodIndex = C.MethodIndex;
       Event.Level = C.Level;
       Event.Modifier = C.Modifier;
-      Event.Features = C.Features;
+      Event.Features = Inputs.features(C.MethodIndex);
       Event.CompileCycles = C.CompileCycles;
       Event.IsExplorationRecompile = C.IsExplorationRecompile;
       Listener->onCompile(Event);

@@ -181,8 +181,11 @@ public:
   /// Compiled body of a method, or nullptr while interpreted.
   const NativeMethod *nativeOf(uint32_t MethodIndex) const;
 
-  /// Loop class of a method (cached; computed from freshly generated IL).
-  LoopClass loopClassOf(uint32_t MethodIndex);
+  /// Loop class of a method, classified once from the IL this VM keeps
+  /// for it (the IL compiles clone and the features are extracted from).
+  LoopClass loopClassOf(uint32_t MethodIndex) {
+    return Inputs.loopClass(MethodIndex);
+  }
 
   // --- Statistics for the harness ---
   struct Stats {
@@ -252,7 +255,9 @@ private:
   CompilationControl Control;
   std::vector<Value> Globals;
   CodeCache Code; ///< per-method compiled bodies (atomic handoff)
-  std::vector<int8_t> LoopClassCache; ///< -1 = unknown
+  /// The interpreter thread's IL, features and loop class per method;
+  /// async workers keep their own (see CompileInputs).
+  CompileInputs Inputs;
   ModifierHook Hook;
   RecompileGate Gate;
   JitEventListener *Listener = nullptr;

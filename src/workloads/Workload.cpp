@@ -2,7 +2,7 @@
 
 #include "workloads/Workload.h"
 
-#include <cassert>
+#include <stdexcept>
 
 using namespace jitml;
 
@@ -148,6 +148,5 @@ const WorkloadSpec &jitml::workloadByCode(const std::string &Code) {
   for (const WorkloadSpec &S : daCapoSuite())
     if (S.Code == Code)
       return S;
-  assert(false && "unknown workload code");
-  return specJvm98Suite().front();
+  throw std::invalid_argument("unknown workload code '" + Code + "'");
 }

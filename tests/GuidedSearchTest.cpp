@@ -95,7 +95,7 @@ TEST(GuidedSearch, ProposalsSurviveVerifiedPipelineEdges) {
   verify::VerifyIlMode Saved = verify::verifyIlMode();
   verify::setVerifyIlMode(verify::VerifyIlMode::Full);
 
-  Program P = buildWorkload(workloadByCode("cp"));
+  Program P = buildWorkload(workloadByCode("co"));
   int64_t Reference = workloadChecksum(P, 1);
   std::vector<uint32_t> Kernels;
   for (uint32_t M = 0; M < P.numMethods(); ++M)

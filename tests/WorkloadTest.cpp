@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace jitml;
 
 TEST(WorkloadRegistry, SuitesMatchThePaper) {
@@ -19,6 +21,13 @@ TEST(WorkloadRegistry, SuitesMatchThePaper) {
   EXPECT_EQ(Codes, (std::vector<std::string>{"co", "db", "mp", "mt", "rt"}));
   EXPECT_EQ(workloadByCode("h2").Name, "h2");
   EXPECT_EQ(workloadByCode("jc").Name, "javac");
+}
+
+TEST(WorkloadRegistry, UnknownCodeIsRejected) {
+  // "cp" is no workload's code. A lookup must not quietly stand in another
+  // benchmark for it.
+  EXPECT_THROW(workloadByCode("cp"), std::invalid_argument);
+  EXPECT_THROW(workloadByCode(""), std::invalid_argument);
 }
 
 TEST(WorkloadRegistry, CodesUnique) {
