@@ -703,10 +703,11 @@ bool jitml::runInductionVariableElimination(PassContext &Ctx) {
   // Loads per slot, excluding loads inside the slot's own update trees.
   std::vector<uint32_t> ForeignLoads(CIL.numLocals(), 0);
   struct Update {
+    int32_t Slot;
     BlockId Block;
     size_t TreeIdx;
   };
-  std::unordered_map<int32_t, std::vector<Update>> Updates;
+  std::vector<Update> Updates; ///< in (block, tree index) order
 
   auto IsSelfUpdate = [&](const Node &Store) {
     if (Store.Op != ILOp::StoreLocal)
@@ -728,7 +729,7 @@ bool jitml::runInductionVariableElimination(PassContext &Ctx) {
       const Node &Root = CIL.node(Blk.Trees[TI]);
       Ctx.charge(1);
       if (IsSelfUpdate(Root)) {
-        Updates[Root.A].push_back({B, TI});
+        Updates.push_back({Root.A, B, TI});
         continue; // its own load does not count as a foreign read
       }
       std::vector<NodeId> Stack{Blk.Trees[TI]};
@@ -743,20 +744,24 @@ bool jitml::runInductionVariableElimination(PassContext &Ctx) {
     }
   }
 
-  bool Changed = false;
-  for (auto &[Slot, Sites] : Updates) {
-    if ((uint32_t)Slot < ForeignLoads.size() && ForeignLoads[(uint32_t)Slot])
+  // A slot nobody else reads is a dead recurrence: every update of it
+  // goes. The updates of all dead slots are erased together, last (block,
+  // tree index) first, so no erase shifts a tree still to be erased; dead
+  // slots may share a block.
+  std::vector<uint8_t> Dead(CIL.numLocals(), 0);
+  for (const Update &U : Updates) {
+    if (ForeignLoads[(uint32_t)U.Slot] || Dead[(uint32_t)U.Slot])
       continue;
-    // Dead recurrence: remove every update (highest tree index first so
-    // earlier indices stay valid).
-    std::sort(Sites.begin(), Sites.end(), [](const Update &A, const Update &B) {
-      return A.Block != B.Block ? A.Block > B.Block : A.TreeIdx > B.TreeIdx;
-    });
-    for (const Update &U : Sites) {
-      Block &Blk = IL.block(U.Block);
-      Blk.Trees.erase(Blk.Trees.begin() + (std::ptrdiff_t)U.TreeIdx);
-    }
+    Dead[(uint32_t)U.Slot] = 1;
     Ctx.noteChange(TransformationKind::InductionVariableElimination);
+  }
+  bool Changed = false;
+  for (size_t K = Updates.size(); K-- > 0;) {
+    const Update &U = Updates[K];
+    if (!Dead[(uint32_t)U.Slot])
+      continue;
+    Block &Blk = IL.block(U.Block);
+    Blk.Trees.erase(Blk.Trees.begin() + (std::ptrdiff_t)U.TreeIdx);
     Changed = true;
   }
   return Changed;

@@ -533,6 +533,70 @@ TEST(Loops, EmptyLoopRemoved) {
   EXPECT_EQ(runBothEngines(P, M, 0, OptLevel::Warm), 1000);
 }
 
+/// count(n): one live counter and \p Dead self-incremented counters nobody
+/// reads, all updated in the one loop block:
+///   `int i = 0, d1 = 0, ...; while (i < n) { d1++; ...; i++; } return i;`
+uint32_t addDeadCounters(Program &P, unsigned Dead) {
+  MethodBuilder MB(P, "count", -1, MF_Static | MF_Public, {DataType::Int32},
+                   DataType::Int32);
+  uint32_t I = MB.addLocal(DataType::Int32);
+  std::vector<uint32_t> D;
+  for (unsigned K = 0; K < Dead; ++K)
+    D.push_back(MB.addLocal(DataType::Int32));
+  auto Head = MB.newLabel();
+  auto Exit = MB.newLabel();
+  MB.constI(DataType::Int32, 0).store(I);
+  for (uint32_t Slot : D)
+    MB.constI(DataType::Int32, 0).store(Slot);
+  MB.place(Head);
+  MB.load(I).load(0).ifCmp(BcCond::Ge, Exit);
+  for (uint32_t Slot : D)
+    MB.inc(Slot, 1);
+  MB.inc(I, 1);
+  MB.gotoLabel(Head);
+  MB.place(Exit);
+  MB.load(I).retValue(DataType::Int32);
+  return MB.finish();
+}
+
+// Induction-variable elimination once erased each dead slot's updates by
+// tree indices recorded before any erasure, slot by slot in hash order:
+// with many dead recurrences in one block, a later erase removed the wrong
+// tree or ran past the end (a crash from 13 dead counters on).
+TEST(Loops, DeadRecurrencesSharingABlockAreAllRemoved) {
+  for (unsigned Dead : {1u, 12u, 13u, 14u, 40u}) {
+    Program P;
+    uint32_t M = addDeadCounters(P, Dead);
+    std::unique_ptr<MethodIL> IL;
+    runPasses(P, M, {TransformationKind::InductionVariableElimination},
+              TransformationKind::InductionVariableElimination, &IL);
+    // Only the live counter's update is left in the loop body.
+    unsigned Stores = 0;
+    for (BlockId B = 0; B < IL->numBlocks(); ++B)
+      for (NodeId Root : IL->block(B).Trees) {
+        const Node &N = IL->node(Root);
+        if (N.Op == ILOp::StoreLocal && N.Kids.size() == 1 &&
+            IL->node(N.Kids[0]).Op == ILOp::Add)
+          ++Stores;
+      }
+    EXPECT_EQ(Stores, 1u) << Dead << " dead counters";
+
+    // Scorching with induction-variable elimination alone, and every level
+    // under its full plan, against the interpreter.
+    BitSet64 OnlyIve = BitSet64::allZero(NumTransformations);
+    OnlyIve.set((unsigned)TransformationKind::InductionVariableElimination);
+    VirtualMachine::Config Cfg;
+    Cfg.Control.Enabled = false;
+    VirtualMachine VM(P, Cfg);
+    VM.compileWithPlan(M, planForLevel(OptLevel::Scorching),
+                       PlanModifier::fromRaw(OnlyIve.raw()));
+    EXPECT_EQ(VM.invoke(M, {Value::ofI(25)}).Ret.I, 25);
+    for (unsigned L = 0; L < NumOptLevels; ++L)
+      EXPECT_EQ(runBothEngines(P, M, 25, (OptLevel)L), 25)
+          << Dead << " dead counters at level " << L;
+  }
+}
+
 TEST(Loops, CopyLoopBecomesArrayCopy) {
   Program P;
   MethodBuilder MB(P, "copy", -1, MF_Static, {DataType::Int32},
