@@ -13,15 +13,28 @@ DominatorTree::DominatorTree(const MethodIL &IL) {
     RpoIndex[Rpo[I]] = I;
 
   // Predecessors including handler edges (a handler's preds are all blocks
-  // that list it in Handlers).
-  std::vector<std::vector<BlockId>> Preds(N);
+  // that list it in Handlers), as flat rows: the preds of B are
+  // Preds[PredBegin[B] .. PredBegin[B + 1]), in ascending block order.
+  std::vector<uint32_t> PredBegin(N + 1, 0);
   for (BlockId B = 0; B < N; ++B) {
     if (RpoIndex[B] == UINT32_MAX)
       continue;
     for (BlockId S : IL.block(B).Succs)
-      Preds[S].push_back(B);
+      ++PredBegin[S + 1];
     for (const HandlerRef &H : IL.block(B).Handlers)
-      Preds[H.Handler].push_back(B);
+      ++PredBegin[H.Handler + 1];
+  }
+  for (uint32_t B = 0; B < N; ++B)
+    PredBegin[B + 1] += PredBegin[B];
+  std::vector<BlockId> Preds(PredBegin[N]);
+  std::vector<uint32_t> Fill(PredBegin.begin(), PredBegin.end() - 1);
+  for (BlockId B = 0; B < N; ++B) {
+    if (RpoIndex[B] == UINT32_MAX)
+      continue;
+    for (BlockId S : IL.block(B).Succs)
+      Preds[Fill[S]++] = B;
+    for (const HandlerRef &H : IL.block(B).Handlers)
+      Preds[Fill[H.Handler]++] = B;
   }
 
   BlockId Entry = IL.entryBlock();
@@ -44,7 +57,8 @@ DominatorTree::DominatorTree(const MethodIL &IL) {
       if (B == Entry)
         continue;
       BlockId NewIdom = InvalidBlock;
-      for (BlockId P : Preds[B]) {
+      for (uint32_t K = PredBegin[B]; K < PredBegin[B + 1]; ++K) {
+        BlockId P = Preds[K];
         if (Idom[P] == InvalidBlock)
           continue; // not yet processed
         NewIdom = NewIdom == InvalidBlock ? P : Intersect(P, NewIdom);

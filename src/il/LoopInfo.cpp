@@ -3,13 +3,16 @@
 #include "il/LoopInfo.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdlib>
 
 using namespace jitml;
 
-bool Loop::contains(BlockId B) const {
-  return std::find(Blocks.begin(), Blocks.end(), B) != Blocks.end();
+void Loop::add(BlockId B) {
+  assert(!contains(B) && "block already in the loop");
+  Blocks.push_back(B);
+  Members[B / 64] |= 1ULL << (B % 64);
 }
 
 namespace {
@@ -55,6 +58,8 @@ int64_t estimateTripCount(const MethodIL &IL, const Loop &L) {
 
 LoopInfo::LoopInfo(const MethodIL &IL) {
   DominatorTree DT(IL);
+  size_t Words = (IL.numBlocks() + 63) / 64;
+  std::vector<BlockId> Stack; // one worklist for every loop
   // Back edge: B -> H where H dominates B. Collect the natural loop by
   // walking predecessors from B until H.
   for (BlockId B : DT.rpo()) {
@@ -63,10 +68,10 @@ LoopInfo::LoopInfo(const MethodIL &IL) {
         continue;
       Loop L;
       L.Header = H;
-      L.Blocks.push_back(H);
-      std::vector<BlockId> Stack;
+      L.Members.assign(Words, 0);
+      L.add(H);
       if (B != H) {
-        L.Blocks.push_back(B);
+        L.add(B);
         Stack.push_back(B);
       }
       while (!Stack.empty()) {
@@ -75,7 +80,7 @@ LoopInfo::LoopInfo(const MethodIL &IL) {
         for (BlockId P : IL.block(Cur).Preds) {
           if (!IL.block(P).Reachable || L.contains(P))
             continue;
-          L.Blocks.push_back(P);
+          L.add(P);
           Stack.push_back(P);
         }
       }
@@ -88,7 +93,7 @@ LoopInfo::LoopInfo(const MethodIL &IL) {
       if (Loops[J].Header == Loops[I].Header) {
         for (BlockId B : Loops[J].Blocks)
           if (!Loops[I].contains(B))
-            Loops[I].Blocks.push_back(B);
+            Loops[I].add(B);
         Loops.erase(Loops.begin() + (std::ptrdiff_t)J);
       } else {
         ++J;

@@ -33,7 +33,16 @@ struct Loop {
   /// with the conventional start-at-zero step-one shape; -1 when unknown.
   int64_t TripCount = -1;
 
-  bool contains(BlockId B) const;
+  /// False for blocks created after the analysis ran.
+  bool contains(BlockId B) const {
+    return B / 64 < Members.size() && (Members[B / 64] >> (B % 64) & 1);
+  }
+  /// Appends \p B to Blocks; it must not be a member yet.
+  void add(BlockId B);
+
+  /// Membership bitset over the block ids the method had when the loop
+  /// was found (one bit per block).
+  std::vector<uint64_t> Members;
 };
 
 /// Loop classification used by both the feature extractor and the

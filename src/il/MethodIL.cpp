@@ -268,9 +268,10 @@ void MethodIL::computeReachability() {
 uint32_t MethodIL::countLiveNodes() const {
   if (LiveCountEpoch == ModEpoch && memoEnabled())
     return LiveCount;
-  std::vector<bool> Seen(Nodes.size(), false);
+  std::vector<uint8_t> Seen(Nodes.size(), 0);
   uint32_t Count = 0;
   std::vector<NodeId> Stack;
+  Stack.reserve(64);
   for (const Block &B : Blocks) {
     if (!B.Reachable)
       continue;
@@ -282,7 +283,7 @@ uint32_t MethodIL::countLiveNodes() const {
     Stack.pop_back();
     if (Seen[Id])
       continue;
-    Seen[Id] = true;
+    Seen[Id] = 1;
     ++Count;
     for (NodeId Kid : Nodes[Id].Kids)
       Stack.push_back(Kid);
@@ -299,19 +300,19 @@ std::vector<BlockId> MethodIL::reversePostOrder() const {
   std::vector<uint8_t> State(Blocks.size(), 0); // 0 new, 1 open, 2 done
   // Iterative DFS with an explicit stack of (block, next-successor-index).
   std::vector<std::pair<BlockId, size_t>> Stack;
+  Stack.reserve(Blocks.size());
+  Post.reserve(Blocks.size());
   Stack.emplace_back(Entry, 0);
   State[Entry] = 1;
-  auto Successors = [&](BlockId Id) {
-    std::vector<BlockId> All = Blocks[Id].Succs;
-    for (const HandlerRef &H : Blocks[Id].Handlers)
-      All.push_back(H.Handler);
-    return All;
-  };
+  // Successor K of a block is Succs[K], then its handlers in order.
   while (!Stack.empty()) {
     auto &[Id, NextIdx] = Stack.back();
-    std::vector<BlockId> Succ = Successors(Id);
-    if (NextIdx < Succ.size()) {
-      BlockId S = Succ[NextIdx++];
+    const Block &Blk = Blocks[Id];
+    if (NextIdx < Blk.Succs.size() + Blk.Handlers.size()) {
+      BlockId S = NextIdx < Blk.Succs.size()
+                      ? Blk.Succs[NextIdx]
+                      : Blk.Handlers[NextIdx - Blk.Succs.size()].Handler;
+      ++NextIdx;
       if (State[S] == 0) {
         State[S] = 1;
         Stack.emplace_back(S, 0);

@@ -217,6 +217,13 @@ public:
   }
   uint32_t numNodes() const { return (uint32_t)Nodes.size(); }
 
+  /// Reserves room for \p NumNodes nodes and \p NumBlocks blocks, so a
+  /// builder that knows its sizes up front does not regrow the tables.
+  void reserve(uint32_t NumNodes, uint32_t NumBlocks) {
+    Nodes.reserve(NumNodes);
+    Blocks.reserve(NumBlocks);
+  }
+
   // --- Blocks / CFG ---
   BlockId makeBlock();
   Block &block(BlockId Id) {
