@@ -12,6 +12,8 @@
 
 #include "opt/Passes.h"
 
+#include "support/FlatTables.h"
+
 #include <unordered_map>
 
 using namespace jitml;
@@ -19,20 +21,27 @@ using namespace jitml;
 namespace {
 
 /// Kinds of kills that invalidate available expressions inside a block.
+/// One tracker serves a whole pass run; reset() starts the next block.
 struct KillTracker {
   /// Epochs bump when the corresponding class of memory is clobbered.
   uint64_t FieldEpoch = 0;  ///< per-field granularity handled by key
   uint64_t ElemEpoch = 0;
   uint64_t GlobalEpoch = 0;
-  std::unordered_map<int32_t, uint64_t> LocalEpoch; ///< per slot
-  std::unordered_map<int32_t, uint64_t> FieldEpochOf;
-  std::unordered_map<int32_t, uint64_t> GlobalEpochOf;
+  StampedArray<uint64_t> LocalEpoch; ///< per slot
+  StampedArray<uint64_t> FieldEpochOf;
+  StampedArray<uint64_t> GlobalEpochOf;
   uint64_t Clock = 1;
 
-  void killLocal(int32_t Slot) { LocalEpoch[Slot] = ++Clock; }
-  void killField(int32_t Field) {
-    FieldEpochOf[Field] = ++Clock;
+  void reset() {
+    FieldEpoch = ElemEpoch = GlobalEpoch = 0;
+    LocalEpoch.clear();
+    FieldEpochOf.clear();
+    GlobalEpochOf.clear();
+    Clock = 1;
   }
+
+  void killLocal(int32_t Slot) { LocalEpoch.set(index(Slot), ++Clock); }
+  void killField(int32_t Field) { FieldEpochOf.set(index(Field), ++Clock); }
   void killAllMemory() {
     ++Clock;
     FieldEpoch = Clock;
@@ -40,29 +49,27 @@ struct KillTracker {
     GlobalEpoch = Clock;
   }
   void killElems() { ElemEpoch = ++Clock; }
-  void killGlobal(int32_t Slot) { GlobalEpochOf[Slot] = ++Clock; }
+  void killGlobal(int32_t Slot) { GlobalEpochOf.set(index(Slot), ++Clock); }
 
   uint64_t epochFor(const Node &N) const {
     switch (N.Op) {
-    case ILOp::LoadLocal: {
-      auto It = LocalEpoch.find(N.A);
-      return It == LocalEpoch.end() ? 0 : It->second;
-    }
-    case ILOp::LoadField: {
-      auto It = FieldEpochOf.find(N.A);
-      uint64_t PerField = It == FieldEpochOf.end() ? 0 : It->second;
-      return std::max(PerField, FieldEpoch);
-    }
+    case ILOp::LoadLocal:
+      return LocalEpoch.get(index(N.A));
+    case ILOp::LoadField:
+      return std::max(FieldEpochOf.get(index(N.A)), FieldEpoch);
     case ILOp::LoadElem:
       return ElemEpoch;
-    case ILOp::LoadGlobal: {
-      auto It = GlobalEpochOf.find(N.A);
-      uint64_t PerSlot = It == GlobalEpochOf.end() ? 0 : It->second;
-      return std::max(PerSlot, GlobalEpoch);
-    }
+    case ILOp::LoadGlobal:
+      return std::max(GlobalEpochOf.get(index(N.A)), GlobalEpoch);
     default:
       return 0; // ArrayLen is immutable; pure nodes never killed
     }
+  }
+
+  /// Slot, field and global payloads are non-negative table indices.
+  static size_t index(int32_t Key) {
+    assert(Key >= 0 && "negative slot, field or global index");
+    return (size_t)(uint32_t)Key;
   }
 
   /// Applies the kills implied by executing statement \p Root.
@@ -113,24 +120,29 @@ bool valueNumberBlocks(PassContext &Ctx, bool CommonMemoryReads,
   const MethodIL &CIL = Ctx.cil();
   bool Changed = false;
 
+  // One scratch for the whole run, cleared per block. The pass creates no
+  // nodes, so the node-indexed Canon table never grows.
+  KillTracker Kills;
+  struct Avail {
+    NodeId Id;
+    uint64_t BirthEpoch; ///< epoch of the memory class when recorded
+  };
+  HashChains<Avail> Table; ///< shallow hash -> available nodes, in order
+  StampedArray<NodeId> Canon(CIL.numNodes());
+
   for (BlockId B = 0; B < CIL.numBlocks(); ++B) {
     const Block &Blk = CIL.block(B);
     if (!Blk.Reachable)
       continue;
-    KillTracker Kills;
-    struct Avail {
-      NodeId Id;
-      uint64_t BirthEpoch; ///< epoch of the memory class when recorded
-    };
-    std::unordered_map<uint64_t, std::vector<Avail>> Table;
-    std::unordered_map<NodeId, NodeId> Canon;
+    Kills.reset();
+    Table.clear();
+    Canon.clear();
 
     // Recursive canonicalization; kid slots are written back only when
     // they actually change (mutable access bumps the IL epoch).
     auto Canonical = [&](auto &&Self, NodeId Id) -> NodeId {
-      auto Found = Canon.find(Id);
-      if (Found != Canon.end())
-        return Found->second;
+      if (Canon.has(Id))
+        return Canon.get(Id);
       Ctx.charge(1);
       for (unsigned KI = 0; KI < CIL.node(Id).numKids(); ++KI) {
         NodeId Kid = CIL.node(Id).Kids[KI];
@@ -149,13 +161,14 @@ bool valueNumberBlocks(PassContext &Ctx, bool CommonMemoryReads,
       // LoadLocal participates in both modes: it is the bridge that lets
       // either pass recognize repeated subtrees.
       if (!Eligible) {
-        Canon[Id] = Id;
+        Canon.set(Id, Id);
         return Id;
       }
       uint64_t H = shallowHashNode(N);
       uint64_t Birth = Kills.epochFor(N);
-      auto &Bucket = Table[H];
-      for (const Avail &A : Bucket) {
+      // The first equal, still valid entry in insertion order wins.
+      for (uint32_t E = Table.first(H); E != Table.None; E = Table.next(E)) {
+        const Avail &A = Table.value(E);
         if (A.Id == Id)
           continue;
         if (!shallowEqualNodes(CIL.node(A.Id), N))
@@ -163,11 +176,11 @@ bool valueNumberBlocks(PassContext &Ctx, bool CommonMemoryReads,
         // The recorded value must still be valid: no kill since birth.
         if (Kills.epochFor(CIL.node(A.Id)) != A.BirthEpoch)
           continue;
-        Canon[Id] = A.Id;
+        Canon.set(Id, A.Id);
         return A.Id;
       }
-      Bucket.push_back({Id, Birth});
-      Canon[Id] = Id;
+      Table.append(H, {Id, Birth});
+      Canon.set(Id, Id);
       return Id;
     };
 
@@ -195,29 +208,32 @@ bool valueNumberBlocks(PassContext &Ctx, bool CommonMemoryReads,
 bool jitml::runLocalCopyPropagation(PassContext &Ctx) {
   const MethodIL &IL = Ctx.cil();
   bool Changed = false;
+  // Per-block tables, cleared at each block: slot -> defining node (Const
+  // or LoadLocal of another slot), the slots given a def in the block
+  // (some since killed), and the nodes visited.
+  StampedArray<NodeId> Defs(IL.numLocals());
+  std::vector<int32_t> DefSlots;
+  StampedArray<bool> Visited(IL.numNodes());
   for (BlockId B = 0; B < IL.numBlocks(); ++B) {
     const Block &Blk = IL.block(B);
     if (!Blk.Reachable)
       continue;
-    // Slot -> defining node (Const or LoadLocal of another slot).
-    std::unordered_map<int32_t, NodeId> Defs;
-    std::vector<bool> Visited(IL.numNodes(), false);
+    Defs.clear();
+    DefSlots.clear();
+    Visited.clear();
 
     auto Propagate = [&](auto &&Self, NodeId Id) -> void {
-      if (Id < Visited.size() && Visited[Id])
+      if (Visited.has(Id))
         return;
-      if (Id >= Visited.size())
-        Visited.resize(IL.numNodes(), false);
-      Visited[Id] = true;
+      Visited.set(Id, true);
       Ctx.charge(1);
       const Node &N = IL.node(Id);
       if (N.Op == ILOp::LoadLocal) {
-        auto It = Defs.find(N.A);
-        if (It != Defs.end()) {
+        if (Defs.has((uint32_t)N.A)) {
           // Rewrite the load in place into a copy of its reaching def.
           // Under first-reference evaluation this is exact: the def value
           // cannot change between the store and this first reference.
-          Ctx.rewriteToCopyOf(Id, It->second);
+          Ctx.rewriteToCopyOf(Id, Defs.get((uint32_t)N.A));
           Ctx.noteChange(TransformationKind::LocalCopyPropagation);
           Changed = true;
         }
@@ -234,15 +250,22 @@ bool jitml::runLocalCopyPropagation(PassContext &Ctx) {
       if (RootN.Op == ILOp::StoreLocal) {
         const Node &V = IL.node(RootN.Kids[0]);
         // Invalidate defs that referenced the overwritten slot.
-        for (auto It = Defs.begin(); It != Defs.end();) {
-          const Node &D = IL.node(It->second);
-          bool Stale = It->first == RootN.A ||
-                       (D.Op == ILOp::LoadLocal && D.A == RootN.A);
-          It = Stale ? Defs.erase(It) : ++It;
+        size_t Kept = 0;
+        for (int32_t Slot : DefSlots) {
+          if (!Defs.has((uint32_t)Slot))
+            continue;
+          const Node &D = IL.node(Defs.get((uint32_t)Slot));
+          if (Slot == RootN.A || (D.Op == ILOp::LoadLocal && D.A == RootN.A))
+            Defs.erase((uint32_t)Slot);
+          else
+            DefSlots[Kept++] = Slot;
         }
+        DefSlots.resize(Kept);
         if (V.Op == ILOp::Const ||
-            (V.Op == ILOp::LoadLocal && V.A != RootN.A))
-          Defs[RootN.A] = RootN.Kids[0];
+            (V.Op == ILOp::LoadLocal && V.A != RootN.A)) {
+          Defs.set((uint32_t)RootN.A, RootN.Kids[0]);
+          DefSlots.push_back(RootN.A);
+        }
       }
     }
   }
@@ -322,6 +345,7 @@ bool jitml::runDeadStoreElimination(PassContext &Ctx) {
   MethodIL &IL = Ctx.il();
   const MethodIL &CIL = Ctx.cil();
   bool Changed = false;
+  std::vector<NodeId> Stack; ///< tree-walk worklist, reused
   for (BlockId B = 0; B < CIL.numBlocks(); ++B) {
     const Block &Blk = CIL.block(B);
     if (!Blk.Reachable)
@@ -340,7 +364,7 @@ bool jitml::runDeadStoreElimination(PassContext &Ctx) {
       for (size_t TJ = TI + 1; TJ < Blk.Trees.size(); ++TJ) {
         const Node &M = CIL.node(Blk.Trees[TJ]);
         bool ReadsSlot = false;
-        std::vector<NodeId> Stack{Blk.Trees[TJ]};
+        Stack.assign(1, Blk.Trees[TJ]);
         while (!Stack.empty()) {
           const Node &K = CIL.node(Stack.back());
           Stack.pop_back();
@@ -540,6 +564,8 @@ bool jitml::runStoreSinking(PassContext &Ctx) {
   MethodIL &IL = Ctx.il();
   const MethodIL &CIL = Ctx.cil();
   bool Changed = false;
+  std::vector<NodeId> Stack; ///< tree-walk worklist, reused
+  std::vector<int32_t> InputSlots;
   for (BlockId B = 0; B < CIL.numBlocks(); ++B) {
     const Block &Blk = CIL.block(B);
     if (!Blk.Reachable || Blk.Trees.size() < 3)
@@ -554,9 +580,9 @@ bool jitml::runStoreSinking(PassContext &Ctx) {
       bool ValueReadsMemory = !Ctx.isPureAndMemoryFree(N.Kids[0]);
       // Slots the candidate's value tree reads: an intervening store to
       // any of them would change the (re-)evaluated value.
-      std::vector<int32_t> InputSlots;
+      InputSlots.clear();
       {
-        std::vector<NodeId> Stack{N.Kids[0]};
+        Stack.assign(1, N.Kids[0]);
         while (!Stack.empty()) {
           const Node &K = CIL.node(Stack.back());
           Stack.pop_back();
@@ -572,7 +598,7 @@ bool jitml::runStoreSinking(PassContext &Ctx) {
         const Node &M = CIL.node(Blk.Trees[TJ]);
         Ctx.charge(1);
         bool Blocks = false;
-        std::vector<NodeId> Stack{Blk.Trees[TJ]};
+        Stack.assign(1, Blk.Trees[TJ]);
         while (!Stack.empty() && !Blocks) {
           const Node &K = CIL.node(Stack.back());
           Stack.pop_back();
