@@ -25,6 +25,8 @@
 //                        --seconds N   wall-clock budget
 //                        --faults SPEC --fault-seed N   inject bugs
 //                        --corpus DIR  write reduced repros here
+//                        --json PATH   write the campaign's or the gate's
+//                                      figures to PATH (nothing otherwise)
 //
 //===----------------------------------------------------------------------===//
 
@@ -139,7 +141,7 @@ int runOverheadGate(const char *JsonPath) {
               CyclesOk ? "bit-identical" : "MISMATCH");
 
   bool GateOk = OverheadFrac < 0.03;
-  if (std::FILE *F = std::fopen(JsonPath, "w")) {
+  if (std::FILE *F = JsonPath ? std::fopen(JsonPath, "w") : nullptr) {
     std::fprintf(F,
                  "{\n"
                  "  \"mode_check_off_ns\": %.4f,\n"
@@ -171,7 +173,7 @@ int main(int argc, char **argv) {
   FuzzCampaignConfig Cfg;
   Cfg.Seed = envU64("JITML_GEN_SEED", 1);
   Cfg.MaxExecs = envU64("JITML_FUZZ_BUDGET", 1000);
-  const char *JsonPath = "BENCH_fuzz.json";
+  const char *JsonPath = nullptr; ///< --json: no file without it
   bool Gate = false;
 
   for (int I = 1; I < argc; ++I) {
@@ -251,7 +253,7 @@ int main(int argc, char **argv) {
       std::printf("    corpus:  %s\n", D.CorpusFile.c_str());
   }
 
-  if (std::FILE *F = std::fopen(JsonPath, "w")) {
+  if (std::FILE *F = JsonPath ? std::fopen(JsonPath, "w") : nullptr) {
     std::fprintf(F,
                  "{\n"
                  "  \"seed\": %llu,\n"
