@@ -20,9 +20,9 @@
 ///    one with a full thread handoff each (measured: it halves
 ///    throughput). Every arrival during the linger extends it;
 ///  * it reaches MaxBatch entries (the wire-protocol batch cap);
-///  * the deadline (JITML_SERVE_BATCH_US past the batch's first entry)
-///    expires: a straggler whose frame is still being reassembled must
-///    not stall everyone else.
+///  * the deadline (ServeConfig::BatchDeadlineUs past the batch's first
+///    entry) expires: a straggler whose frame is still being reassembled
+///    must not stall everyone else.
 ///
 /// At steady state with N synchronous clients this self-clocks into
 /// batches of ~N at one linger (tens of us) of added latency.

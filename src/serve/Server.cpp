@@ -2,7 +2,6 @@
 
 #include "serve/Server.h"
 
-#include "support/Env.h"
 #include "support/FaultInjection.h"
 
 #include <cstring>
@@ -15,18 +14,6 @@
 #include <unordered_map>
 
 using namespace jitml;
-
-ServeConfig ServeConfig::fromEnv() {
-  ServeConfig C;
-  C.SocketPath = envString("JITML_SERVE_SOCKET", C.SocketPath);
-  C.BatchDeadlineUs =
-      (int)envU64("JITML_SERVE_BATCH_US", (uint64_t)C.BatchDeadlineUs);
-  C.BatchLingerUs =
-      (int)envU64("JITML_SERVE_LINGER_US", (uint64_t)C.BatchLingerUs);
-  C.MaxInflight = (size_t)envU64("JITML_SERVE_MAX_INFLIGHT", C.MaxInflight);
-  C.CacheCapacity = (size_t)envU64("JITML_SERVE_CACHE", C.CacheCapacity);
-  return C;
-}
 
 /// Per-connection state, owned by the event loop thread alone.
 struct ModelServer::Connection {

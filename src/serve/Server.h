@@ -47,6 +47,8 @@
 
 namespace jitml {
 
+/// The daemon's settings. The program that starts a ModelServer sets
+/// these fields; no environment variable overrides them.
 struct ServeConfig {
   /// Unix-domain socket path the daemon listens on.
   std::string SocketPath = "/tmp/jitml-serve.sock";
@@ -70,10 +72,6 @@ struct ServeConfig {
   /// daemon stops reading that socket (backpressure on pipelining
   /// clients).
   size_t MaxPendingFrames = 16;
-
-  /// Defaults overridden by JITML_SERVE_SOCKET / JITML_SERVE_BATCH_US /
-  /// JITML_SERVE_MAX_INFLIGHT / JITML_SERVE_CACHE.
-  static ServeConfig fromEnv();
 };
 
 class ModelServer {
