@@ -16,12 +16,6 @@
 #                fuzz smoke (interpreter vs every opt level vs async, deep
 #                verifier interposed — zero divergences), corpus replay,
 #                and the <3% disabled-hook overhead gate (BENCH_fuzz.json)
-#   opt-perf     compile-path hot loop: micro_compile enforces bit-identical
-#                simulated figures with the pass memo on vs off across every
-#                (program, method, level) cell plus the >=1.5x scorching-loop
-#                speedup gate (BENCH_compile.json), and a short fixed-seed
-#                fuzz smoke re-runs with JITML_OPT_MEMO=off to exercise the
-#                escape hatch
 #   serve        multi-client serving daemon: micro_serve enforces
 #                bit-identical client streams vs the single-client loop,
 #                the >=1.5x cross-client batching speedup, and exact shed
@@ -123,12 +117,6 @@ verify_step() {
       'Corpus\.|ILVerifierDeep\.|PassVerifier\.|Oracle\.|Reducer\.|Campaign\.|FuzzInput\.')
 }
 
-opt_perf_step() {
-  cmake --build build -j"$(nproc)" --target micro_compile fuzz_differential &&
-    ./build/bench/micro_compile BENCH_compile.json &&
-    JITML_OPT_MEMO=off ./build/bench/fuzz_differential --seed 1 --seconds 10 --execs 0
-}
-
 serve_step() {
   cmake --build build -j"$(nproc)" --target micro_serve jitml_tests &&
     ./build/bench/micro_serve BENCH_serve.json &&
@@ -143,6 +131,5 @@ run_suite pipeline pipeline_step
 run_suite telemetry telemetry_step
 run_suite chaos chaos_step
 run_suite verify verify_step
-run_suite opt-perf opt_perf_step
 run_suite serve serve_step
 finish 0

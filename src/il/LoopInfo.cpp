@@ -171,7 +171,7 @@ bool LoopInfo::annotateFrequencies(MethodIL &IL, const LoopInfo &LI) {
     if (CIL.block(B).IsHandler)
       Freq = 0.01;
     // Write (and bump the epoch) only on change, so a re-annotation that
-    // finds the frequencies already correct stays memoizable.
+    // finds the frequencies already correct keeps the analysis caches.
     if (CIL.block(B).Frequency != Freq) {
       IL.block(B).Frequency = Freq;
       Changed = true;

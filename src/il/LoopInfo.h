@@ -77,10 +77,9 @@ public:
   /// multiplied by min(TripCount, 10) per nesting level, halved on each
   /// side of a branch, and 0.01 for handler blocks. Blocks already carrying
   /// the computed value are left untouched (no epoch bump), so callers that
-  /// re-annotate an unchanged CFG stay memoizable. Returns true when any
-  /// frequency actually moved — passes must surface that as a change so
-  /// the epoch bump is accounted for rather than silently invalidating
-  /// every downstream memo entry.
+  /// re-annotate an unchanged CFG keep the epoch-keyed analysis caches
+  /// valid. Returns true when any frequency actually moved, so a pass that
+  /// re-annotates reports the write as a change.
   static bool annotateFrequencies(MethodIL &IL);
   /// Same, reusing an already-built LoopInfo for \p IL (e.g. the
   /// PassContext-cached one) instead of rebuilding the analysis.

@@ -2,8 +2,6 @@
 
 #include "il/MethodIL.h"
 
-#include "support/Memo.h"
-
 #include <algorithm>
 
 using namespace jitml;
@@ -266,7 +264,7 @@ void MethodIL::computeReachability() {
 }
 
 uint32_t MethodIL::countLiveNodes() const {
-  if (LiveCountEpoch == ModEpoch && memoEnabled())
+  if (LiveCountEpoch == ModEpoch)
     return LiveCount;
   std::vector<uint8_t> Seen(Nodes.size(), 0);
   uint32_t Count = 0;

@@ -38,7 +38,7 @@ template <typename VisitFn>
 bool forEachNodePostOrder(PassContext &Ctx, VisitFn Visit) {
   // All reads go through the const view: the mutable accessors bump the
   // IL's modification epoch, which would make every visit look like a
-  // write and defeat no-change memoization of these cleanup passes.
+  // write and throw away the epoch-keyed analysis caches.
   const MethodIL &IL = Ctx.cil();
   std::vector<uint8_t> Seen(IL.numNodes(), 0);
   bool Changed = false;

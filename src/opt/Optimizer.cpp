@@ -4,11 +4,8 @@
 
 #include "opt/Passes.h"
 #include "support/FaultInjection.h"
-#include "support/Memo.h"
-#include "support/Telemetry.h"
 #include "verify/PassVerifier.h"
 
-#include <array>
 #include <vector>
 
 using namespace jitml;
@@ -167,53 +164,12 @@ bool jitml::runTransformation(PassContext &Ctx, TransformationKind K) {
   return false;
 }
 
-namespace {
-
-/// Per-kind record of a pass body that ran and made no change. Valid only
-/// while the IL's modification epoch still equals Epoch: passes are
-/// deterministic functions of the IL, so an unchanged epoch (byte-identical
-/// IL) guarantees a rerun would again do nothing and charge the same
-/// cycles. Epochs strictly increase, so a stale entry can never false-hit.
-///
-/// Charges holds the body's exact charge() sequence (run-length encoded).
-/// A hit replays it addition-by-addition rather than adding one recorded
-/// total: FP addition is not associative, so only the original sequence of
-/// additions reproduces the memo-off CompileCycles figure to the last bit.
-struct MemoEntry {
-  uint64_t Epoch = 0;
-  std::vector<ChargeRec> Charges;
-  bool Valid = false;
-};
-
-struct MemoCounters {
-  TelemetryCounter *Hits;
-  TelemetryCounter *Misses;
-  MemoCounters() {
-    MetricRegistry &R = MetricRegistry::global();
-    Hits = &R.counter("opt.memo.hits");
-    Misses = &R.counter("opt.memo.misses");
-  }
-};
-
-MemoCounters &memoCounters() {
-  static MemoCounters C;
-  return C;
-}
-
-} // namespace
-
 OptimizeResult jitml::optimize(MethodIL &IL, const CompilationPlan &Plan,
                                const BitSet64 &EnabledMask, ILCache *Callees) {
   assert(EnabledMask.width() == NumTransformations &&
          "modifier mask must cover all 58 transformations");
   OptimizeResult Result;
   PassContext Ctx(IL, Callees);
-  // Plans repeat cleanup passes heavily (a scorching plan has 170+ entries
-  // over 58 kinds); once a kind has run to no effect, later occurrences hit
-  // here until something actually changes the IL. All charge() accounting
-  // on the hit path replays exactly what a rerun would charge.
-  std::array<MemoEntry, NumTransformations> Memo;
-  std::vector<ChargeRec> ChargeScratch; ///< reused recording buffer
   for (size_t EI = 0; EI < Plan.Entries.size(); ++EI) {
     TransformationKind K = Plan.Entries[EI];
     if (!EnabledMask.test((unsigned)K)) {
@@ -239,44 +195,14 @@ OptimizeResult jitml::optimize(MethodIL &IL, const CompilationPlan &Plan,
       continue;
     }
     Ctx.charge(Info.BaseCost + Info.CostPerNode * IL.countLiveNodes());
-    MemoEntry &M = Memo[(unsigned)K];
-    if (memoEnabled() && M.Valid && M.Epoch == IL.modEpoch()) {
-      // The body ran at this exact IL state and did nothing: skip it and
-      // replay its recorded charges one by one, so the accumulator sees
-      // the same additions a rerun would make. No ChangedPasses/coverage
-      // updates — the recorded run returned false.
-      for (const ChargeRec &R : M.Charges)
-        for (uint32_t I = 0; I < R.Count; ++I)
-          Ctx.charge(R.Amount);
-      memoCounters().Hits->add();
-    } else {
-      uint64_t EpochBefore = IL.modEpoch();
-      bool Record = memoEnabled();
-      if (Record) {
-        ChargeScratch.clear();
-        Ctx.setChargeLog(&ChargeScratch);
-      }
-      bool Changed = runTransformation(Ctx, K);
-      if (Record)
-        Ctx.setChargeLog(nullptr);
-      memoCounters().Misses->add();
-      if (Changed) {
-        Result.ChangedPasses.insert(K);
-        if (verify::coverageEnabled())
-          verify::notePassCoverage((unsigned)Plan.Level, (unsigned)K);
-      } else if (Record && IL.modEpoch() == EpochBefore) {
-        // No report of change AND no possible write (the epoch also covers
-        // mutable accessor handouts) — safe to skip identical reruns.
-        M.Epoch = EpochBefore;
-        M.Charges.swap(ChargeScratch);
-        M.Valid = true;
-      }
+    if (runTransformation(Ctx, K)) {
+      Result.ChangedPasses.insert(K);
+      if (verify::coverageEnabled())
+        verify::notePassCoverage((unsigned)Plan.Level, (unsigned)K);
     }
     ++Result.EntriesRun;
     // Chaos hooks: corrupt damages structure (the verifier must catch
     // it); miscompile damages semantics only (the fuzzer must catch it).
-    // Evaluated on memo hits too, keeping fault-point ordinals aligned
-    // with a memo-off run.
     if (JITML_FAULT_POINT("opt.pass.corrupt"))
       corruptIL(IL);
     if (JITML_FAULT_POINT("opt.pass.miscompile"))

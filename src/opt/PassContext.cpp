@@ -2,8 +2,6 @@
 
 #include "opt/PassContext.h"
 
-#include "support/Memo.h"
-
 using namespace jitml;
 
 const MethodIL &PassContext::calleeIL(uint32_t MethodIndex) {
@@ -18,7 +16,7 @@ const MethodIL &PassContext::calleeIL(uint32_t MethodIndex) {
 
 const LoopInfo &PassContext::loopInfo() {
   uint64_t E = IL.modEpoch();
-  if (!CachedLI || LIEpoch != E || !memoEnabled()) {
+  if (!CachedLI || LIEpoch != E) {
     CachedLI = std::make_unique<LoopInfo>(IL);
     LIEpoch = E; // analysis reads via const accessors: epoch unchanged
   }
@@ -27,7 +25,7 @@ const LoopInfo &PassContext::loopInfo() {
 
 const DominatorTree &PassContext::dominators() {
   uint64_t E = IL.modEpoch();
-  if (!CachedDT || DTEpoch != E || !memoEnabled()) {
+  if (!CachedDT || DTEpoch != E) {
     CachedDT = std::make_unique<DominatorTree>(IL);
     DTEpoch = E;
   }
@@ -36,7 +34,7 @@ const DominatorTree &PassContext::dominators() {
 
 const GuardFacts &PassContext::guardFacts() {
   uint64_t E = IL.modEpoch();
-  if (!CachedFacts || FactsEpoch != E || !memoEnabled()) {
+  if (!CachedFacts || FactsEpoch != E) {
     CachedFacts = std::make_unique<GuardFacts>(scanGuardFacts(IL));
     FactsEpoch = E;
   }

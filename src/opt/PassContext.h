@@ -26,17 +26,6 @@
 
 namespace jitml {
 
-/// One run-length-encoded charge() call sequence entry: \p Amount charged
-/// \p Count consecutive times. The pass memo records a no-change body's
-/// charges in this form and replays them addition-by-addition on a hit, so
-/// the CompileCycles accumulator sees bit-identical arithmetic (FP addition
-/// is not associative; charging one summed total would drift in the last
-/// ULPs relative to a real rerun).
-struct ChargeRec {
-  double Amount;
-  uint32_t Count;
-};
-
 class PassContext {
 public:
   /// \p Callees supplies the IL the inliner splices in. Without one the
@@ -48,8 +37,7 @@ public:
   MethodIL &il() { return IL; }
   /// Const view of the IL for reads. Prefer this inside analyses and scan
   /// loops: the mutable node()/block() accessors bump the modification
-  /// epoch (they must assume a write), which costs analysis-cache and
-  /// memoization hit-rate.
+  /// epoch (they must assume a write), which costs analysis-cache hit rate.
   const MethodIL &cil() const { return IL; }
   const Program &program() const { return IL.program(); }
 
@@ -57,21 +45,8 @@ public:
   const MethodIL &calleeIL(uint32_t MethodIndex);
 
   /// Charges \p Cycles of compile effort to the current pass.
-  void charge(double Cycles) {
-    CompileCycles += Cycles;
-    if (ChargeLog) {
-      if (!ChargeLog->empty() && ChargeLog->back().Amount == Cycles)
-        ++ChargeLog->back().Count;
-      else
-        ChargeLog->push_back({Cycles, 1});
-    }
-  }
+  void charge(double Cycles) { CompileCycles += Cycles; }
   double compileCycles() const { return CompileCycles; }
-
-  /// While non-null, every charge() is appended (run-length encoded) to
-  /// \p Log. The optimizer records a memo candidate's body charges this
-  /// way and replays them verbatim on a hit.
-  void setChargeLog(std::vector<ChargeRec> *Log) { ChargeLog = Log; }
 
   /// Statistics: how many times each pass reported a change.
   void noteChange(TransformationKind K) { ++Changes[(unsigned)K]; }
@@ -81,11 +56,10 @@ public:
 
   // --- Epoch-cached CFG analyses ---
   // Valid for the IL's current modification epoch; rebuilt on first use
-  // after any IL change (and always when memoEnabled() is off). The
-  // returned reference is stable until the next IL mutation *through this
-  // context's accessors* triggers a rebuild on the following call — passes
-  // take the reference once at entry, exactly matching the lifetime the
-  // old pass-local `LoopInfo LI(IL)` had.
+  // after any IL change. The returned reference is stable until the next
+  // IL mutation *through this context's accessors* triggers a rebuild on
+  // the following call — passes take the reference once at entry, exactly
+  // matching the lifetime the old pass-local `LoopInfo LI(IL)` had.
   const LoopInfo &loopInfo();
   const DominatorTree &dominators();
   const GuardFacts &guardFacts();
@@ -116,7 +90,6 @@ private:
   ILCache *Callees;
   std::unique_ptr<ILCache> OwnCallees; ///< when no cache was passed in
   double CompileCycles = 0.0;
-  std::vector<ChargeRec> *ChargeLog = nullptr;
   /// Flat per-kind change counters (NumTransformations is small and fixed;
   /// the old unordered_map hashed on every noteChange in the hot loop).
   std::array<uint32_t, NumTransformations> Changes{};

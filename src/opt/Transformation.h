@@ -141,6 +141,8 @@ struct GuardFacts {
   bool HasMemoryLoads = false;
   bool HasChecks = false;
   bool UsesUnsafe = false;
+
+  bool operator==(const GuardFacts &) const = default;
 };
 
 /// One scan of \p IL for the guard predicates above.
