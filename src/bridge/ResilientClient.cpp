@@ -59,7 +59,7 @@ void ResilientModelClient::resolveTelemetry() {
 
 ResilientModelClient::ResilientModelClient(std::unique_ptr<Transport> T,
                                            Config C)
-    : Cfg(C), Owned(std::move(T)), Sleep(realSleep) {
+    : Cfg(C), Owned(std::move(T)) {
   resolveTelemetry();
   if (Owned)
     Wire = std::make_unique<CountingTransport>(*Owned);
@@ -68,7 +68,7 @@ ResilientModelClient::ResilientModelClient(std::unique_ptr<Transport> T,
 }
 
 ResilientModelClient::ResilientModelClient(TransportFactory F, Config C)
-    : Cfg(C), Factory(std::move(F)), Sleep(realSleep) {
+    : Cfg(C), Factory(std::move(F)) {
   resolveTelemetry();
 }
 
@@ -250,8 +250,8 @@ ResilientModelClient::requestModifierLocked(OptLevel Level,
         break; // no way back: don't burn time sleeping
       ++Count.Retries;
       Tel.Retries->add();
-      if (Backoff >= 1.0 && Sleep)
-        Sleep((int)Backoff);
+      if (Backoff >= 1.0)
+        realSleep((int)Backoff);
       Backoff *= Cfg.BackoffMultiplier;
     }
     if (!ensureConnected())
@@ -374,8 +374,8 @@ std::vector<std::optional<uint64_t>> ResilientModelClient::requestModifierBatch(
           break;
         ++Count.Retries;
       Tel.Retries->add();
-        if (Backoff >= 1.0 && Sleep)
-          Sleep((int)Backoff);
+        if (Backoff >= 1.0)
+          realSleep((int)Backoff);
         Backoff *= Cfg.BackoffMultiplier;
       }
       if (!ensureConnected())

@@ -139,9 +139,6 @@ public:
   BridgeCounters counters() const;
   const Config &config() const { return Cfg; }
 
-  /// Test hook: replaces the inter-retry sleep (default: real sleep).
-  void setSleepFn(std::function<void(int)> Fn) { Sleep = std::move(Fn); }
-
 private:
   void resolveTelemetry();
   bool ensureConnected();
@@ -177,7 +174,6 @@ private:
   bool Poisoned = false; ///< single-connection mode: failed for good
   std::unordered_map<uint64_t, std::optional<uint64_t>> Cache;
   BridgeCounters Count;
-  std::function<void(int)> Sleep;
 };
 
 } // namespace jitml

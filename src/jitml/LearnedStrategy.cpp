@@ -38,15 +38,6 @@ jitml::makeLearnedHook(LearnedStrategyProvider &P) {
   };
 }
 
-VirtualMachine::ModifierHook jitml::makeBridgedHook(ModelClient &Client) {
-  return [&Client](uint32_t MethodIndex, OptLevel Level,
-                   const FeatureVector &Features) {
-    (void)MethodIndex;
-    std::optional<uint64_t> Bits = Client.requestModifier(Level, Features);
-    return Bits ? PlanModifier::fromRaw(*Bits) : PlanModifier();
-  };
-}
-
 VirtualMachine::ModifierHook
 jitml::makeResilientHook(ResilientModelClient &Client) {
   return [&Client](uint32_t MethodIndex, OptLevel Level,
@@ -54,24 +45,5 @@ jitml::makeResilientHook(ResilientModelClient &Client) {
     (void)MethodIndex;
     std::optional<uint64_t> Bits = Client.requestModifier(Level, Features);
     return Bits ? PlanModifier::fromRaw(*Bits) : PlanModifier();
-  };
-}
-
-AsyncCompilePipeline::BatchModifierFn
-jitml::makeResilientBatchHook(ResilientModelClient &Client) {
-  return [&Client](const std::vector<AsyncCompilePipeline::BatchPredictItem>
-                       &Items) {
-    std::vector<ResilientModelClient::BatchRequest> Requests(Items.size());
-    for (size_t I = 0; I < Items.size(); ++I) {
-      Requests[I].Level = Items[I].Level;
-      Requests[I].Features = Items[I].Features;
-    }
-    std::vector<std::optional<uint64_t>> Bits =
-        Client.requestModifierBatch(Requests);
-    std::vector<PlanModifier> Modifiers(Items.size());
-    for (size_t I = 0; I < Bits.size() && I < Modifiers.size(); ++I)
-      if (Bits[I])
-        Modifiers[I] = PlanModifier::fromRaw(*Bits[I]);
-    return Modifiers;
   };
 }

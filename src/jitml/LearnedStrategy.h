@@ -55,22 +55,11 @@ private:
 /// Hook adapter: plugs a provider into VirtualMachine::setModifierHook.
 VirtualMachine::ModifierHook makeLearnedHook(LearnedStrategyProvider &P);
 
-/// Hook adapter that goes through the bridge protocol (the model may be a
-/// thread or a separate process on the other end of the transport).
-VirtualMachine::ModifierHook makeBridgedHook(ModelClient &Client);
-
 /// Hook adapter over the hardened client: cache-first, deadline-bounded,
 /// and falling back to the unmodified hand-tuned plan whenever the model
 /// service cannot answer — a slow or dead service degrades compilation
 /// quality, never availability.
 VirtualMachine::ModifierHook makeResilientHook(ResilientModelClient &Client);
-
-/// Batch-hook adapter for the async pipeline: a worker's whole dequeued
-/// backlog travels in one FeatureBatch round trip through the hardened
-/// client. Entries the service cannot answer fall back to the unmodified
-/// plan individually.
-AsyncCompilePipeline::BatchModifierFn
-makeResilientBatchHook(ResilientModelClient &Client);
 
 } // namespace jitml
 
